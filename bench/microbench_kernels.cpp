@@ -141,6 +141,37 @@ void BM_DotBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_DotBatch)->Arg(32)->Arg(128);
 
+// IVF coarse assignment (NearestCentroidDotBatch): `rows` rows against
+// `centroids` unit centroids at dim `d`. {4000, 564, 128} is the served
+// shape: a 4000-row sample of 128-d index vectors (MARS's four 32-d facets
+// concatenated) against the 564 = 4*sqrt(20k) centroids of a 20k-item
+// catalog. The per_pair counter is wall time per (row, centroid) pair.
+void BM_NearestCentroidDotBatch(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const size_t num_centroids = static_cast<size_t>(state.range(1));
+  const size_t d = static_cast<size_t>(state.range(2));
+  const auto block = RandomBlock(rows, d, 22);
+  auto centroids = RandomBlock(num_centroids, d, 23);
+  for (size_t c = 0; c < num_centroids; ++c) {
+    NormalizeInPlace(centroids.data() + c * d, d);
+  }
+  std::vector<uint32_t> out(rows);
+  for (auto _ : state) {
+    NearestCentroidDotBatch(block.data(), rows, d, centroids.data(),
+                            num_centroids, d, d, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  const double pairs = static_cast<double>(rows * num_centroids);
+  state.SetItemsProcessed(state.iterations() * rows * num_centroids);
+  state.counters["per_pair"] = benchmark::Counter(
+      pairs, benchmark::Counter::kIsIterationInvariantRate |
+                 benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_NearestCentroidDotBatch)
+    ->Args({4000, 564, 128})
+    ->Args({4000, 564, 8});
+
 void BM_CosinePerRow(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
   const auto u = RandomVec(d, 22);

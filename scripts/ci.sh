@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# One-command gate for this repo: tier-1 verify (configure, build, ctest)
-# plus smoke runs of examples/quickstart — serial and with the
-# num_threads=4 Hogwild trainer — so the parallel path is exercised on
-# every build.
+# One-command gate for this repo: tier-1 verify (configure, build, ctest),
+# the repository benchmark's own unit tests (perfbench_tests), plus smoke
+# runs of examples/quickstart — serial and with the num_threads=4 Hogwild
+# trainer — so the parallel path is exercised on every build.
 #
 # Usage: scripts/ci.sh [--san[=thread|address]] [--bench] [build-dir]
 #   (default build-dir: build; --san defaults to thread and uses
 #    build-<sanitizer> unless a build-dir is given)
 #
 # Modes:
-#   (none)    configure + build + ctest + quickstart smokes
+#   (none)    configure + build + ctest + perfbench_tests + quickstart
+#             smokes
 #   --bench   additionally run bench_train/bench_serve/bench_load and gate
 #             fresh timings against the committed BENCH_*.json via
 #             scripts/check_bench.py (>25% single-thread regression fails)
@@ -158,6 +159,13 @@ done
 
 echo "== ctest =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
+
+echo "== perfbench tests =="
+# perfbench/ is a standalone CMake package (it compiles src/ itself), so it
+# gets its own build tree under the CI build dir.
+cmake -S perfbench -B "$BUILD_DIR/perfbench" -DCMAKE_BUILD_TYPE=Release
+cmake --build "$BUILD_DIR/perfbench" -j"$(nproc)" --target perfbench_tests
+"$BUILD_DIR"/perfbench/perfbench_tests
 
 echo "== quickstart smoke (tiny synthetic dataset, serial) =="
 # Items must exceed the eval protocol's 100 sampled negatives.

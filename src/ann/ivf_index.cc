@@ -22,37 +22,43 @@ bool CanFanOut(ThreadPool* pool) {
   return pool != nullptr && !pool->IsWorkerThread();
 }
 
-/// Reads items [begin, end) through the model's index-vector surface and
-/// assigns each to its max-dot centroid. The copy buffer is per-thread:
-/// chunks re-use it across RunBatch tasks instead of paying a
-/// chunk-sized allocation each.
-void AssignRange(const ItemScorer& model, ItemId begin, ItemId end,
-                 const float* centroids, size_t num_centroids, size_t dim,
-                 uint32_t* assign) {
-  if (begin >= end) return;
-  static thread_local std::vector<float> rows;
-  rows.resize((end - begin) * dim);
-  model.CopyIndexVectors(begin, end, rows.data());
-  NearestCentroidDotBatch(rows.data(), end - begin, dim, centroids,
-                          num_centroids, dim, dim, assign + begin);
-}
-
-/// Full-catalog assignment, fanned over balanced contiguous chunks.
-void AssignAll(const ItemScorer& model, size_t num_items,
-               const float* centroids, size_t num_centroids, size_t dim,
-               ThreadPool* pool, uint32_t* assign) {
+/// Runs fn(begin, end) over [0, n) in balanced contiguous chunks, about
+/// four per pool thread, or as one serial chunk when the pool can't fan
+/// out.
+template <typename Fn>
+void ForEachChunk(size_t n, ThreadPool* pool, const Fn& fn) {
   const size_t chunks =
       CanFanOut(pool)
-          ? std::max<size_t>(1, std::min(num_items, 4 * pool->num_threads()))
+          ? std::max<size_t>(1, std::min(n, 4 * pool->num_threads()))
           : 1;
-  const auto assign_chunk = [&](size_t c) {
-    const auto [begin, end] = FacetStore::ShardRange(num_items, c, chunks);
-    AssignRange(model, begin, end, centroids, num_centroids, dim, assign);
-  };
-  if (chunks > 1) {
-    pool->RunBatch(chunks, assign_chunk);
-  } else {
-    assign_chunk(0);
+  if (chunks == 1) {
+    fn(size_t{0}, n);
+    return;
+  }
+  pool->RunBatch(chunks, [&](size_t c) {
+    const auto [begin, end] = FacetStore::ShardRange(n, c, chunks);
+    fn(begin, end);
+  });
+}
+
+/// Rows per copy-and-assign block: the copy buffer stays a constant few
+/// hundred rows (128 KiB at dim 128, L2-resident) however large the range.
+constexpr size_t kAssignBlockRows = 256;
+
+/// Reads items [begin, end) through the model's index-vector surface in
+/// fixed row blocks and assigns each to its max-dot centroid. The copy
+/// buffer is per-thread: chunks re-use it across RunBatch tasks.
+void AssignRange(const ItemScorer& model, size_t begin, size_t end,
+                 const float* centroids, size_t num_centroids, size_t dim,
+                 uint32_t* assign) {
+  static thread_local std::vector<float> rows;
+  for (size_t b = begin; b < end; b += kAssignBlockRows) {
+    const size_t e = std::min(end, b + kAssignBlockRows);
+    rows.resize((e - b) * dim);
+    model.CopyIndexVectors(static_cast<ItemId>(b), static_cast<ItemId>(e),
+                           rows.data());
+    NearestCentroidDotBatch(rows.data(), e - b, dim, centroids,
+                            num_centroids, dim, dim, assign + b);
   }
 }
 
@@ -129,9 +135,11 @@ std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Build(
   std::vector<float> sums(ncent * dim);
   std::vector<uint32_t> counts(ncent);
   for (size_t iter = 0; iter < options.kmeans_iters; ++iter) {
-    NearestCentroidDotBatch(sample.data(), sample_count, dim,
-                            centroids.data(), ncent, dim, dim,
-                            sample_assign.data());
+    ForEachChunk(sample_count, pool, [&](size_t begin, size_t end) {
+      NearestCentroidDotBatch(sample.data() + begin * dim, end - begin, dim,
+                              centroids.data(), ncent, dim, dim,
+                              sample_assign.data() + begin);
+    });
     std::fill(sums.begin(), sums.end(), 0.0f);
     std::fill(counts.begin(), counts.end(), 0u);
     for (size_t i = 0; i < sample_count; ++i) {
@@ -154,8 +162,10 @@ std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Build(
   }
 
   index->assign_.mutable_vec().resize(num_items);
-  AssignAll(model, num_items, centroids.data(), ncent, dim, pool,
-            index->assign_.mutable_data());
+  uint32_t* assign = index->assign_.mutable_data();
+  ForEachChunk(num_items, pool, [&](size_t begin, size_t end) {
+    AssignRange(model, begin, end, centroids.data(), ncent, dim, assign);
+  });
   index->RebuildLists();
   return index;
 }
@@ -279,17 +289,40 @@ std::unique_ptr<CandidateIndex> SphericalIvfIndex::Rebuilt(
   next->assign_.EnsureOwned();
   if (next->offsets_.borrowed()) next->offsets_ = {};
   if (next->list_ids_.borrowed()) next->list_ids_ = {};
-  const auto reassign_shard = [&](size_t i) {
-    const auto [begin, end] =
-        FacetStore::ShardRange(num_items_, dirty_shards[i], num_shards);
-    AssignRange(model, begin, end, next->centroids_.data(), num_centroids_,
-                dim_, next->assign_.mutable_data());
+  // Dirty shards merge into contiguous item runs, and the dirty rows,
+  // numbered run after run, split into balanced chunks that may span
+  // runs: thousands of few-row shards become a handful of pool tasks.
+  struct Run {
+    size_t item;  // dirty rows [row, next run's row) are items item, ...
+    size_t row;
   };
-  if (CanFanOut(pool) && dirty_shards.size() > 1) {
-    pool->RunBatch(dirty_shards.size(), reassign_shard);
-  } else {
-    for (size_t i = 0; i < dirty_shards.size(); ++i) reassign_shard(i);
+  std::vector<Run> runs;
+  size_t dirty_rows = 0;
+  size_t items_end = 0;
+  for (const size_t shard : dirty_shards) {
+    auto [begin, end] = FacetStore::ShardRange(num_items_, shard, num_shards);
+    begin = std::max(begin, items_end);  // a repeated shard adds nothing
+    if (begin >= end) continue;
+    if (runs.empty() || begin != items_end) runs.push_back({begin, dirty_rows});
+    dirty_rows += end - begin;
+    items_end = end;
   }
+  runs.push_back({items_end, dirty_rows});  // sentinel: ends the last run
+  uint32_t* assign = next->assign_.mutable_data();
+  ForEachChunk(dirty_rows, pool, [&](size_t lo, size_t hi) {
+    auto run = std::upper_bound(runs.begin(), runs.end(), lo,
+                                [](size_t row, const Run& r) {
+                                  return row < r.row;
+                                }) -
+               1;
+    for (; run->row < hi; ++run) {
+      const size_t from = std::max(lo, run->row);
+      const size_t to = std::min(hi, (run + 1)->row);
+      AssignRange(model, run->item + (from - run->row),
+                  run->item + (to - run->row), next->centroids_.data(),
+                  num_centroids_, dim_, assign);
+    }
+  });
   next->RebuildLists();
   return next;
 }

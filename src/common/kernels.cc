@@ -1,6 +1,8 @@
 #include "common/kernels.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/kernels_detail.h"
 #include "common/vec.h"
@@ -218,21 +220,145 @@ MARS_AVX2_FN void WeightedFacetSquaredDistanceBatchMultiAvx2(
   }
 }
 
+// IVF assignment as a register-tiled argmax. The centroids are packed
+// once per call into 8-centroid column panels (dim d of centroid 8p+j at
+// panel p, offset d*8 + j), so one load carries dim d of eight centroids
+// and each lane runs a single FMA chain over the dims: no (row, centroid)
+// pair pays a horizontal sum. A tile of up to four rows shares each panel
+// load, two panels at a time (8 accumulators keep both FMA ports fed).
+// Every lane's chain is the same FMA sequence whatever the tile shape, so
+// a row's dots, and its argmax, depend only on that row and the centroids.
+constexpr size_t kPanelWidth = 8;
+constexpr size_t kTileRows = 4;
+
+size_t NumPanels(size_t num_centroids) {
+  return (num_centroids + kPanelWidth - 1) / kPanelWidth;
+}
+
+/// Packs the centroids into panels in a per-thread buffer sized from
+/// num_centroids x n alone. Pad lanes of the last panel repeat the last
+/// centroid: they tie it exactly and ties go to the lower index, so a pad
+/// lane never wins.
+const float* PackCentroidPanels(const float* centroids, size_t num_centroids,
+                                size_t centroid_stride, size_t n) {
+  static thread_local std::vector<float> panels;
+  const size_t padded = NumPanels(num_centroids) * kPanelWidth;
+  panels.resize(padded * n);
+  for (size_t c = 0; c < padded; ++c) {
+    const float* src =
+        centroids + std::min(c, num_centroids - 1) * centroid_stride;
+    float* dst = panels.data() + (c / kPanelWidth) * kPanelWidth * n +
+                 c % kPanelWidth;
+    for (size_t d = 0; d < n; ++d) dst[d * kPanelWidth] = src[d];
+  }
+  return panels.data();
+}
+
+/// acc[r][q] = the 8 dots of row r against panel q of `panel`.
+template <size_t R, size_t Q>
+MARS_AVX2_FN inline void PanelDotsAvx2(const float* rows, size_t stride,
+                                       const float* panel, size_t n,
+                                       __m256 (&acc)[R][Q]) {
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t q = 0; q < Q; ++q) acc[r][q] = _mm256_setzero_ps();
+  }
+  for (size_t d = 0; d < n; ++d) {
+    __m256 c[Q];
+    for (size_t q = 0; q < Q; ++q) {
+      c[q] = _mm256_loadu_ps(panel + (q * n + d) * kPanelWidth);
+    }
+    for (size_t r = 0; r < R; ++r) {
+      const __m256 x = _mm256_broadcast_ss(rows + r * stride + d);
+      for (size_t q = 0; q < Q; ++q) {
+        acc[r][q] = _mm256_fmadd_ps(x, c[q], acc[r][q]);
+      }
+    }
+  }
+}
+
+/// Per lane: keep `dots` where strictly greater (a lane sees its centroids
+/// in ascending order, so it keeps the lowest index among its ties).
+MARS_AVX2_FN inline void KeepBetterAvx2(__m256 dots, __m256i ids,
+                                        __m256* best, __m256i* best_id) {
+  const __m256 better = _mm256_cmp_ps(dots, *best, _CMP_GT_OQ);
+  *best = _mm256_blendv_ps(*best, dots, better);
+  *best_id = _mm256_castps_si256(_mm256_blendv_ps(
+      _mm256_castsi256_ps(*best_id), _mm256_castsi256_ps(ids), better));
+}
+
+/// Assigns rows [0, R) of a tile against every panel.
+template <size_t R>
+MARS_AVX2_FN void ArgmaxTileAvx2(const float* rows, size_t stride,
+                                 const float* panels, size_t num_panels,
+                                 size_t n, uint32_t* out) {
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  __m256 best[R];
+  __m256i best_id[R];
+  for (size_t r = 0; r < R; ++r) {
+    best[r] = _mm256_set1_ps(-INFINITY);
+    best_id[r] = _mm256_setzero_si256();
+  }
+  size_t p = 0;
+  for (; p + 2 <= num_panels; p += 2) {
+    __m256 acc[R][2];
+    PanelDotsAvx2<R, 2>(rows, stride, panels + p * kPanelWidth * n, n, acc);
+    for (size_t q = 0; q < 2; ++q) {
+      const __m256i ids = _mm256_add_epi32(
+          lane, _mm256_set1_epi32(static_cast<int>((p + q) * kPanelWidth)));
+      for (size_t r = 0; r < R; ++r) {
+        KeepBetterAvx2(acc[r][q], ids, &best[r], &best_id[r]);
+      }
+    }
+  }
+  if (p < num_panels) {
+    __m256 acc[R][1];
+    PanelDotsAvx2<R, 1>(rows, stride, panels + p * kPanelWidth * n, n, acc);
+    const __m256i ids = _mm256_add_epi32(
+        lane, _mm256_set1_epi32(static_cast<int>(p * kPanelWidth)));
+    for (size_t r = 0; r < R; ++r) {
+      KeepBetterAvx2(acc[r][0], ids, &best[r], &best_id[r]);
+    }
+  }
+  // Across lanes: the max dot, ties to the lowest centroid index.
+  for (size_t r = 0; r < R; ++r) {
+    alignas(32) float v[kPanelWidth];
+    alignas(32) uint32_t id[kPanelWidth];
+    _mm256_store_ps(v, best[r]);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(id), best_id[r]);
+    size_t j_best = 0;
+    for (size_t j = 1; j < kPanelWidth; ++j) {
+      if (v[j] > v[j_best] || (v[j] == v[j_best] && id[j] < id[j_best])) {
+        j_best = j;
+      }
+    }
+    out[r] = id[j_best];
+  }
+}
+
 MARS_AVX2_FN void NearestCentroidDotBatchAvx2(
     const float* rows, size_t count, size_t stride, const float* centroids,
     size_t num_centroids, size_t centroid_stride, size_t n, uint32_t* out) {
-  for (size_t r = 0; r < count; ++r) {
-    const float* row = rows + r * stride;
-    float best = DotRowAvx2(row, centroids, n);
-    uint32_t best_c = 0;
-    for (size_t c = 1; c < num_centroids; ++c) {
-      const float d = DotRowAvx2(row, centroids + c * centroid_stride, n);
-      if (d > best) {
-        best = d;
-        best_c = static_cast<uint32_t>(c);
-      }
-    }
-    out[r] = best_c;
+  const float* panels =
+      PackCentroidPanels(centroids, num_centroids, centroid_stride, n);
+  const size_t num_panels = NumPanels(num_centroids);
+  size_t r = 0;
+  for (; r + kTileRows <= count; r += kTileRows) {
+    ArgmaxTileAvx2<kTileRows>(rows + r * stride, stride, panels, num_panels,
+                              n, out + r);
+  }
+  const float* tail = rows + r * stride;
+  switch (count - r) {
+    case 3:
+      ArgmaxTileAvx2<3>(tail, stride, panels, num_panels, n, out + r);
+      break;
+    case 2:
+      ArgmaxTileAvx2<2>(tail, stride, panels, num_panels, n, out + r);
+      break;
+    case 1:
+      ArgmaxTileAvx2<1>(tail, stride, panels, num_panels, n, out + r);
+      break;
+    default:
+      break;
   }
 }
 

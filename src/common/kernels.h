@@ -78,6 +78,13 @@ void NegatedSquaredDistanceBatchMulti(const float* const* us,
 /// the IVF coarse-assignment step of ann/ivf_index.h: with unit-norm
 /// centroids, max dot over c equals max cosine (the row's own norm is
 /// constant across centroids), so rows need no normalization.
+/// Determinism: out[i] depends only on row i and the centroids, never on
+/// `count`, the row's position in the block, how a caller chunks the rows
+/// or which thread runs them, so any split of a block (serial or over a
+/// pool) assigns bit-identically. The AVX2 path reduces each (row,
+/// centroid) dot in one FMA chain over the dims, which rounds differently
+/// from DotBatch: its dots pick a centroid and must never stand in for a
+/// score.
 void NearestCentroidDotBatch(const float* rows, size_t count, size_t stride,
                              const float* centroids, size_t num_centroids,
                              size_t centroid_stride, size_t n, uint32_t* out);

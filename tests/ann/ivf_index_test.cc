@@ -203,6 +203,45 @@ TEST(SphericalIvfIndexTest, RebuiltDirtyShardsEqualsRebuiltAll) {
   const auto parallel = idx->Rebuilt(model, dirty, kShards, &pool);
   ExpectSameIndex(static_cast<const SphericalIvfIndex&>(*incremental),
                   static_cast<const SphericalIvfIndex&>(*parallel));
+
+  // Rebuilt merges dirty shards into item runs and chunks the dirty rows
+  // across runs; every geometry must still pin the serial and all-shards
+  // answers.
+  struct Case {
+    size_t items, shards;
+    std::vector<size_t> dirty;
+    size_t threads;
+  };
+  const std::vector<Case> cases = {
+      // Adjacent shards merge into one run, beside a lone shard.
+      {480, 8, {1, 2, 3, 6}, 3},
+      // More shards than items: empty shards, dirty and clean.
+      {40, 64, {0, 3, 4, 5, 20, 21, 40, 63}, 3},
+      // 32 chunks for a handful of dirty rows.
+      {40, 64, {3, 4, 5, 20, 63}, 8},
+  };
+  for (const Case& c : cases) {
+    DotScorer m(4, c.items, kDim, 6);
+    const auto base =
+        SphericalIvfIndex::Build(m, c.items, AnnIndexOptions{}, nullptr);
+    for (const size_t s : c.dirty) {
+      const auto [begin, end] = FacetStore::ShardRange(c.items, s, c.shards);
+      m.PerturbItems(begin, end, 200 + s);
+    }
+    std::vector<size_t> every(c.shards);
+    for (size_t s = 0; s < c.shards; ++s) every[s] = s;
+    ThreadPool case_pool(c.threads);
+    const auto serial = base->Rebuilt(m, c.dirty, c.shards, nullptr);
+    const auto fanned = base->Rebuilt(m, c.dirty, c.shards, &case_pool);
+    const auto all = base->Rebuilt(m, every, c.shards, nullptr);
+    SCOPED_TRACE(::testing::Message() << c.items << " items, " << c.shards
+                                      << " shards, " << c.threads
+                                      << " threads");
+    ExpectSameIndex(static_cast<const SphericalIvfIndex&>(*fanned),
+                    static_cast<const SphericalIvfIndex&>(*serial));
+    ExpectSameIndex(static_cast<const SphericalIvfIndex&>(*fanned),
+                    static_cast<const SphericalIvfIndex&>(*all));
+  }
 }
 
 TEST(SphericalIvfIndexTest, ProbeBatchMatchesSequentialProbes) {

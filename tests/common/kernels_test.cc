@@ -1,5 +1,7 @@
 #include "common/kernels.h"
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -78,7 +80,7 @@ TEST_P(BatchKernelShapes, CosineBatchMatchesPerRow) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, BatchKernelShapes,
     ::testing::Combine(::testing::Values<size_t>(1, 4, 7, 32, 129),
-                       ::testing::Values<size_t>(1, 2, 5, 64)));
+                       ::testing::Values<size_t>(1, 2, 5, 8, 19, 37, 64)));
 
 TEST(KernelsTest, CosineBatchZeroUserIsZero) {
   std::vector<float> u(8, 0.0f);
@@ -294,26 +296,30 @@ TEST_P(BatchKernelShapes, NearestCentroidDotBatchMatchesArgmax) {
   const auto [n, count] = GetParam();
   const size_t stride = n + 2;          // padded rows
   const size_t centroid_stride = n + 1; // and differently padded centroids
-  const size_t num_centroids = 5;
-  Rng rng(11);
-  const auto rows = RandomBlock(&rng, count, stride, n);
-  const auto centroids = RandomBlock(&rng, num_centroids, centroid_stride, n);
-  std::vector<uint32_t> got(count, 0xFFFFFFFFu);
-  NearestCentroidDotBatch(rows.data(), count, stride, centroids.data(),
-                          num_centroids, centroid_stride, n, got.data());
-  for (size_t r = 0; r < count; ++r) {
-    uint32_t best = 0;
-    float best_dot = Dot(rows.data() + r * stride, centroids.data(), n);
-    for (size_t c = 1; c < num_centroids; ++c) {
-      const float d =
-          Dot(rows.data() + r * stride, centroids.data() + c * centroid_stride,
-              n);
-      if (d > best_dot) {
-        best_dot = d;
-        best = static_cast<uint32_t>(c);
+  // Fewer than, exactly, and just past one 8-centroid panel, and a
+  // partial third panel.
+  for (const size_t num_centroids : {1, 5, 8, 9, 17}) {
+    Rng rng(11 + num_centroids);
+    const auto rows = RandomBlock(&rng, count, stride, n);
+    const auto centroids =
+        RandomBlock(&rng, num_centroids, centroid_stride, n);
+    std::vector<uint32_t> got(count, 0xFFFFFFFFu);
+    NearestCentroidDotBatch(rows.data(), count, stride, centroids.data(),
+                            num_centroids, centroid_stride, n, got.data());
+    for (size_t r = 0; r < count; ++r) {
+      uint32_t best = 0;
+      float best_dot = Dot(rows.data() + r * stride, centroids.data(), n);
+      for (size_t c = 1; c < num_centroids; ++c) {
+        const float d = Dot(rows.data() + r * stride,
+                            centroids.data() + c * centroid_stride, n);
+        if (d > best_dot) {
+          best_dot = d;
+          best = static_cast<uint32_t>(c);
+        }
       }
+      EXPECT_EQ(got[r], best) << "n=" << n << " centroids=" << num_centroids
+                              << " row " << r;
     }
-    EXPECT_EQ(got[r], best) << "n=" << n << " row " << r;
   }
 }
 
@@ -489,6 +495,57 @@ TEST(KernelsTest, NearestCentroidDotBatchBreaksTiesToLowestIndex) {
   NearestCentroidDotBatch(rows.data(), count, n, centroids.data(),
                           num_centroids, n, n, got.data());
   for (size_t r = 0; r < count; ++r) EXPECT_EQ(got[r], 0u) << "row " << r;
+
+  // A winning duplicate pair straddling the 8-centroid panel boundary
+  // (centroid 7 == centroid 8) lands in different lanes and panels of the
+  // vectorized path; the lower index must still win.
+  const size_t wide = 12;
+  auto positive = RandomBlock(&rng, count, n, n);
+  for (auto& x : positive) x = std::abs(x);
+  auto straddling = RandomBlock(&rng, wide, n, n);
+  for (size_t i = 0; i < n; ++i) straddling[7 * n + i] = 100.0f;
+  Copy(straddling.data() + 7 * n, straddling.data() + 8 * n, n);
+  NearestCentroidDotBatch(positive.data(), count, n, straddling.data(), wide,
+                          n, n, got.data());
+  for (size_t r = 0; r < count; ++r) EXPECT_EQ(got[r], 7u) << "row " << r;
+}
+
+TEST(KernelsTest, NearestCentroidDotBatchIsTilingInvariant) {
+  // A row's assignment depends only on that row and the centroids: the
+  // same block assigned whole, row by row, or split at every offset that
+  // shifts rows within a tile gives identical results. The centroids come
+  // in near-duplicate pairs so that the argmax hinges on last-bit
+  // rounding, which any shape-dependent reduction order would flip.
+  for (const size_t n : {8, 19, 128}) {
+    const size_t count = 37, num_centroids = 17;
+    Rng rng(31 + n);
+    const auto rows = RandomBlock(&rng, count, n, n);
+    auto centroids = RandomBlock(&rng, num_centroids, n, n);
+    for (size_t c = 1; c < num_centroids; c += 2) {
+      for (size_t i = 0; i < n; ++i) {
+        const float jitter = 1e-7f * static_cast<float>(rng.Normal());
+        centroids[c * n + i] = centroids[(c - 1) * n + i] * (1.0f + jitter);
+      }
+    }
+    std::vector<uint32_t> whole(count);
+    NearestCentroidDotBatch(rows.data(), count, n, centroids.data(),
+                            num_centroids, n, n, whole.data());
+    std::vector<uint32_t> got(count, 0xFFFFFFFFu);
+    for (size_t r = 0; r < count; ++r) {
+      NearestCentroidDotBatch(rows.data() + r * n, 1, n, centroids.data(),
+                              num_centroids, n, n, got.data() + r);
+    }
+    EXPECT_EQ(got, whole) << "row by row, n=" << n;
+    for (size_t split = 1; split <= 7; ++split) {
+      std::fill(got.begin(), got.end(), 0xFFFFFFFFu);
+      NearestCentroidDotBatch(rows.data(), split, n, centroids.data(),
+                              num_centroids, n, n, got.data());
+      NearestCentroidDotBatch(rows.data() + split * n, count - split, n,
+                              centroids.data(), num_centroids, n, n,
+                              got.data() + split);
+      EXPECT_EQ(got, whole) << "split at " << split << ", n=" << n;
+    }
+  }
 }
 
 }  // namespace
