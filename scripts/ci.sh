@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
 # One-command gate for this repo: tier-1 verify (configure, build, ctest),
-# the repository benchmark's own unit tests (perfbench_tests), plus smoke
-# runs of examples/quickstart — serial and with the num_threads=4 Hogwild
-# trainer — so the parallel path is exercised on every build.
+# the repository benchmark's own tests (perfbench_tests and the
+# perfbench output contract), plus smoke runs of examples/quickstart —
+# serial and with the num_threads=4 Hogwild trainer — so the parallel
+# path is exercised on every build.
 #
 # Usage: scripts/ci.sh [--san[=thread|address]] [--bench] [build-dir]
 #   (default build-dir: build; --san defaults to thread and uses
 #    build-<sanitizer> unless a build-dir is given)
 #
 # Modes:
-#   (none)    configure + build + ctest + perfbench_tests + quickstart
-#             smokes
+#   (none)    configure + build + ctest + perfbench_tests + perfbench
+#             output test + quickstart smokes
 #   --bench   additionally run bench_train/bench_serve/bench_load and gate
 #             fresh timings against the committed BENCH_*.json via
 #             scripts/check_bench.py (>25% single-thread regression fails)
@@ -166,6 +167,13 @@ echo "== perfbench tests =="
 cmake -S perfbench -B "$BUILD_DIR/perfbench" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR/perfbench" -j"$(nproc)" --target perfbench_tests
 "$BUILD_DIR"/perfbench/perfbench_tests
+
+echo "== perfbench output test =="
+# Runs every workload briefly, untraced and traced, through perfbench/run.py
+# — which drives the serve stack through perfbench's TracedScorer and
+# TracedIndex decorators. CARGO_TARGET_DIR points run.py at the perfbench
+# build tree above instead of a second one under .bench_build/.
+CARGO_TARGET_DIR="$BUILD_DIR" python3 perfbench/tests/test_output.py
 
 echo "== quickstart smoke (tiny synthetic dataset, serial) =="
 # Items must exceed the eval protocol's 100 sampled negatives.

@@ -137,7 +137,7 @@ class FacetStore {
   /// alignment guarantees. This is the shard surface a borrowed
   /// (mmap-backed) store exposes: sweeps partition it exactly like an
   /// owned store, but nothing can write through it. Today's serving sweep
-  /// goes through ScoreItemRange and only needs ShardRange, so the
+  /// goes through ScoreItemRangeMulti and only needs ShardRange, so the
   /// current consumers are MappedFacetStore::ConstShard and the
   /// owned/mapped parity tests; shard-level readers (e.g. a future
   /// row-partitioned rescorer over mapped snapshots) should take this

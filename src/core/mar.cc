@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "common/check.h"
@@ -391,53 +392,23 @@ void Mar::ScoreItems(UserId u, std::span<const ItemId> items,
   }
 }
 
-void Mar::ScoreItemRange(UserId u, ItemId begin, ItemId end,
-                         float* out) const {
-  if (begin >= end) return;
-  const size_t d = config_.dim;
-  const size_t kf = config_.num_facets;
-  std::vector<float> theta(kf);
-  Softmax(theta_logits_.Row(u), theta.data(), kf);
-  const size_t count = end - begin;
-  if (param_mode_ == FacetParam::kFree) {
-    // The contiguous item store makes the sweep one sequential pass over
-    // `count` consecutive entity blocks.
-    WeightedFacetSquaredDistanceBatch(
-        user_facets_.EntityBlock(u), user_facets_.row_stride(),
-        item_facets_.EntityBlock(begin), item_facets_.entity_stride(),
-        item_facets_.row_stride(), theta.data(), kf, count, d, out);
-    for (size_t i = 0; i < count; ++i) out[i] = -out[i];
-    return;
-  }
-  // Hoist user facet projections; items must be projected per candidate.
-  std::vector<float> ufacets(kf * d);
-  for (size_t k = 0; k < kf; ++k) {
-    ProjectFacet(phi_[k], user_universal_.Row(u), &ufacets[k * d]);
-  }
-  std::vector<float> ve(d);
-  for (ItemId v = begin; v < end; ++v) {
-    float score = 0.0f;
-    for (size_t k = 0; k < kf; ++k) {
-      ProjectFacet(psi_[k], item_universal_.Row(v), ve.data());
-      score -= theta[k] * SquaredDistance(&ufacets[k * d], ve.data(), d);
-    }
-    out[v - begin] = score;
-  }
-}
-
 void Mar::ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
                               ItemId end, float* const* out) const {
   if (begin >= end || users.empty()) return;
+  const size_t count = end - begin;
   if (param_mode_ != FacetParam::kFree) {
     // kProjected scores through per-candidate projections — no block
-    // kernel exists, so the batch is just the per-user loop.
+    // kernel exists, so a range is the gather path over its item ids.
+    std::vector<ItemId> items(count);
+    std::iota(items.begin(), items.end(), begin);
     for (size_t b = 0; b < users.size(); ++b) {
-      ScoreItemRange(users[b], begin, end, out[b]);
+      ScoreItems(users[b], items, out[b]);
     }
     return;
   }
+  // kFree: per-user θ, then one fused multi-user pass over the contiguous
+  // item store.
   const size_t kf = config_.num_facets;
-  const size_t count = end - begin;
   std::vector<float> thetas(users.size() * kf);
   std::vector<const float*> ublocks(users.size()), ws(users.size());
   for (size_t b = 0; b < users.size(); ++b) {

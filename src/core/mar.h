@@ -41,8 +41,6 @@ class Mar : public Recommender {
   float Score(UserId u, ItemId v) const override;
   void ScoreItems(UserId u, std::span<const ItemId> items,
                   float* out) const override;
-  void ScoreItemRange(UserId u, ItemId begin, ItemId end,
-                      float* out) const override;
   void ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
                            ItemId end, float* const* out) const override;
   std::string name() const override { return "MAR"; }

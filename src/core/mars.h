@@ -69,8 +69,6 @@ class Mars : public Recommender {
   float Score(UserId u, ItemId v) const override;
   void ScoreItems(UserId u, std::span<const ItemId> items,
                   float* out) const override;
-  void ScoreItemRange(UserId u, ItemId begin, ItemId end,
-                      float* out) const override;
   void ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
                            ItemId end, float* const* out) const override;
   std::string name() const override { return "MARS"; }

@@ -47,30 +47,33 @@ class ItemScorer {
     for (size_t i = 0; i < items.size(); ++i) out[i] = Score(u, items[i]);
   }
 
-  /// Serving adapter: scores the contiguous catalog slice [begin, end) into
-  /// out[0 .. end-begin). The top-k server (serve/top_k_server.h) partitions
-  /// the catalog into contiguous shard ranges and calls this per shard;
-  /// models override it with the contiguous-block kernels of
-  /// common/kernels.h so a full-catalog sweep streams sequentially through
-  /// the item table. The default loops over Score.
-  virtual void ScoreItemRange(UserId u, ItemId begin, ItemId end,
-                              float* out) const {
-    for (ItemId v = begin; v < end; ++v) out[v - begin] = Score(u, v);
-  }
-
-  /// Multi-user serving adapter: scores the slice [begin, end) for every
-  /// user in `users` — out[b][0 .. end-begin) receives users[b]'s scores.
-  /// The top-k server's miss coalescer batches concurrent cache misses
-  /// through this so each item row is streamed from memory once per batch
-  /// instead of once per user. Contract: out[b] must be bit-identical to
-  /// ScoreItemRange(users[b], begin, end) — models override with the
-  /// multi-user block kernels of common/kernels.h, which pin exactly that;
-  /// the default is the literal per-user loop.
+  /// Serving adapter: scores the contiguous catalog slice [begin, end) for
+  /// every user in `users` — out[b][0 .. end-begin) receives users[b]'s
+  /// scores. This is the one range-scoring surface models implement: the
+  /// top-k server (serve/top_k_server.h) partitions the catalog into
+  /// contiguous blocks and scores each block for a whole batch of missed
+  /// users at once (a single-user miss is a batch of one), so models
+  /// override it with the multi-user block kernels of common/kernels.h and
+  /// each item row is streamed from memory once per batch. Contract:
+  /// out[b] must be bit-identical to the same call with users = {users[b]}
+  /// — the block kernels pin exactly that. The default loops over Score.
   virtual void ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
                                    ItemId end, float* const* out) const {
     for (size_t b = 0; b < users.size(); ++b) {
-      ScoreItemRange(users[b], begin, end, out[b]);
+      for (ItemId v = begin; v < end; ++v) {
+        out[b][v - begin] = Score(users[b], v);
+      }
     }
+  }
+
+  /// Single-user form of ScoreItemRangeMulti (B = 1): scores [begin, end)
+  /// for `u` into out[0 .. end-begin). Models do not override it. It stays
+  /// virtual for decorators that wrap one surface (tracing, fault
+  /// injection): the top-k server scores a batch of one through it, so
+  /// such a wrapper sees every single-user sweep.
+  virtual void ScoreItemRange(UserId u, ItemId begin, ItemId end,
+                              float* out) const {
+    ScoreItemRangeMulti({&u, 1}, begin, end, &out);
   }
 
   /// Whether Score/ScoreItems may be called concurrently from multiple

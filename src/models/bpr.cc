@@ -94,16 +94,6 @@ void Bpr::ScoreItems(UserId u, std::span<const ItemId> items,
   }
 }
 
-void Bpr::ScoreItemRange(UserId u, ItemId begin, ItemId end,
-                         float* out) const {
-  if (begin >= end) return;
-  DotBatch(user_.Row(u), item_.Row(begin), end - begin, item_.cols(),
-           config_.dim, out);
-  if (config_.use_item_bias) {
-    for (ItemId v = begin; v < end; ++v) out[v - begin] += item_bias_[v];
-  }
-}
-
 void Bpr::ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
                               ItemId end, float* const* out) const {
   if (begin >= end || users.empty()) return;

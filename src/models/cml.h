@@ -14,8 +14,7 @@
 #ifndef MARS_MODELS_CML_H_
 #define MARS_MODELS_CML_H_
 
-#include "common/matrix.h"
-#include "models/recommender.h"
+#include "models/l2_recommender.h"
 
 namespace mars {
 
@@ -31,34 +30,18 @@ struct CmlConfig {
 };
 
 /// CML recommender.
-class Cml : public Recommender {
+class Cml : public L2Recommender {
  public:
   explicit Cml(CmlConfig config);
 
   void Fit(const ImplicitDataset& train, const TrainOptions& options) override;
-  float Score(UserId u, ItemId v) const override;
-  void ScoreItems(UserId u, std::span<const ItemId> items,
-                  float* out) const override;
-  void ScoreItemRange(UserId u, ItemId begin, ItemId end,
-                      float* out) const override;
-  void ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
-                           ItemId end, float* const* out) const override;
   std::string name() const override { return "CML"; }
-
-  // ANN capability: L2 geometry — Score is exactly -||u - v||², strictly
-  // decreasing in distance, so a metric index (VP-tree) is exact here.
-  IndexGeometry index_geometry() const override { return IndexGeometry::kL2; }
-  size_t index_dim() const override { return config_.dim; }
-  void CopyIndexVectors(ItemId begin, ItemId end, float* out) const override;
-  void WriteIndexQuery(UserId u, float* out) const override;
 
   const Matrix& user_embeddings() const { return user_; }
   const Matrix& item_embeddings() const { return item_; }
 
  private:
   CmlConfig config_;
-  Matrix user_;
-  Matrix item_;
 };
 
 }  // namespace mars

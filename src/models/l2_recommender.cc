@@ -1,0 +1,42 @@
+#include "models/l2_recommender.h"
+
+#include <vector>
+
+#include "common/kernels.h"
+#include "common/vec.h"
+
+namespace mars {
+
+float L2Recommender::Score(UserId u, ItemId v) const {
+  return -SquaredDistance(user_.Row(u), item_.Row(v), dim_);
+}
+
+void L2Recommender::ScoreItems(UserId u, std::span<const ItemId> items,
+                               float* out) const {
+  NegatedSquaredDistanceGather(user_.Row(u), item_.data(), item_.cols(),
+                               items.data(), items.size(), dim_, out);
+}
+
+void L2Recommender::ScoreItemRangeMulti(std::span<const UserId> users,
+                                        ItemId begin, ItemId end,
+                                        float* const* out) const {
+  if (begin >= end || users.empty()) return;
+  std::vector<const float*> urows(users.size());
+  for (size_t b = 0; b < users.size(); ++b) urows[b] = user_.Row(users[b]);
+  NegatedSquaredDistanceBatchMulti(urows.data(), users.size(),
+                                   item_.Row(begin), end - begin,
+                                   item_.cols(), dim_, out);
+}
+
+void L2Recommender::CopyIndexVectors(ItemId begin, ItemId end,
+                                     float* out) const {
+  for (ItemId v = begin; v < end; ++v, out += dim_) {
+    Copy(item_.Row(v), out, dim_);
+  }
+}
+
+void L2Recommender::WriteIndexQuery(UserId u, float* out) const {
+  Copy(user_.Row(u), out, dim_);
+}
+
+}  // namespace mars

@@ -164,22 +164,24 @@ void Lrml::Fit(const ImplicitDataset& train, const TrainOptions& options) {
       snapshot);
 }
 
-void Lrml::ScoreItemRange(UserId u, ItemId begin, ItemId end,
-                          float* out) const {
-  // Attention is per pair, so the sweep hoists only the user row and the
+void Lrml::ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
+                               ItemId end, float* const* out) const {
+  // Attention is per pair, so the sweep hoists only the user rows and the
   // scratch buffers out of the item loop (Score reallocates them per call).
   const size_t d = config_.dim;
   std::vector<float> a(config_.memory_slots), r(d);
-  const float* eu = user_.Row(u);
-  for (ItemId v = begin; v < end; ++v) {
-    const float* ev = item_.Row(v);
-    Relation(eu, ev, a.data(), r.data());
-    float acc = 0.0f;
-    for (size_t i = 0; i < d; ++i) {
-      const float e = eu[i] + r[i] - ev[i];
-      acc += e * e;
+  for (size_t b = 0; b < users.size(); ++b) {
+    const float* eu = user_.Row(users[b]);
+    for (ItemId v = begin; v < end; ++v) {
+      const float* ev = item_.Row(v);
+      Relation(eu, ev, a.data(), r.data());
+      float acc = 0.0f;
+      for (size_t i = 0; i < d; ++i) {
+        const float e = eu[i] + r[i] - ev[i];
+        acc += e * e;
+      }
+      out[b][v - begin] = -acc;
     }
-    out[v - begin] = -acc;
   }
 }
 

@@ -32,8 +32,8 @@ class Lrml : public Recommender {
 
   void Fit(const ImplicitDataset& train, const TrainOptions& options) override;
   float Score(UserId u, ItemId v) const override;
-  void ScoreItemRange(UserId u, ItemId begin, ItemId end,
-                      float* out) const override;
+  void ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
+                           ItemId end, float* const* out) const override;
   std::string name() const override { return "LRML"; }
 
  private:

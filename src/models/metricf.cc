@@ -3,7 +3,6 @@
 #include <cmath>
 #include <memory>
 
-#include "common/kernels.h"
 #include "common/rng.h"
 #include "common/vec.h"
 #include "models/embedding.h"
@@ -15,7 +14,8 @@
 
 namespace mars {
 
-MetricF::MetricF(MetricFConfig config) : config_(config) {}
+MetricF::MetricF(MetricFConfig config)
+    : L2Recommender(config.dim), config_(config) {}
 
 void MetricF::Fit(const ImplicitDataset& train, const TrainOptions& options) {
   const size_t d = config_.dim;
@@ -85,44 +85,6 @@ void MetricF::Fit(const ImplicitDataset& train, const TrainOptions& options) {
         trainer.RunEpoch(steps, step);
       },
       snapshot);
-}
-
-float MetricF::Score(UserId u, ItemId v) const {
-  return -SquaredDistance(user_.Row(u), item_.Row(v), config_.dim);
-}
-
-void MetricF::ScoreItems(UserId u, std::span<const ItemId> items,
-                         float* out) const {
-  NegatedSquaredDistanceGather(user_.Row(u), item_.data(), item_.cols(),
-                               items.data(), items.size(), config_.dim,
-                               out);
-}
-
-void MetricF::ScoreItemRange(UserId u, ItemId begin, ItemId end,
-                             float* out) const {
-  if (begin >= end) return;
-  NegatedSquaredDistanceBatch(user_.Row(u), item_.Row(begin), end - begin,
-                              item_.cols(), config_.dim, out);
-}
-
-void MetricF::ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
-                             ItemId end, float* const* out) const {
-  if (begin >= end || users.empty()) return;
-  std::vector<const float*> urows(users.size());
-  for (size_t b = 0; b < users.size(); ++b) urows[b] = user_.Row(users[b]);
-  NegatedSquaredDistanceBatchMulti(urows.data(), users.size(),
-                                   item_.Row(begin), end - begin,
-                                   item_.cols(), config_.dim, out);
-}
-
-void MetricF::CopyIndexVectors(ItemId begin, ItemId end, float* out) const {
-  for (ItemId v = begin; v < end; ++v, out += config_.dim) {
-    Copy(item_.Row(v), out, config_.dim);
-  }
-}
-
-void MetricF::WriteIndexQuery(UserId u, float* out) const {
-  Copy(user_.Row(u), out, config_.dim);
 }
 
 }  // namespace mars

@@ -16,8 +16,7 @@
 #ifndef MARS_MODELS_METRICF_H_
 #define MARS_MODELS_METRICF_H_
 
-#include "common/matrix.h"
-#include "models/recommender.h"
+#include "models/l2_recommender.h"
 
 namespace mars {
 
@@ -33,30 +32,15 @@ struct MetricFConfig {
 };
 
 /// MetricF recommender.
-class MetricF : public Recommender {
+class MetricF : public L2Recommender {
  public:
   explicit MetricF(MetricFConfig config);
 
   void Fit(const ImplicitDataset& train, const TrainOptions& options) override;
-  float Score(UserId u, ItemId v) const override;
-  void ScoreItems(UserId u, std::span<const ItemId> items,
-                  float* out) const override;
-  void ScoreItemRange(UserId u, ItemId begin, ItemId end,
-                      float* out) const override;
-  void ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
-                           ItemId end, float* const* out) const override;
   std::string name() const override { return "MetricF"; }
-
-  // ANN capability: L2 geometry (Score == -distance², same as CML).
-  IndexGeometry index_geometry() const override { return IndexGeometry::kL2; }
-  size_t index_dim() const override { return config_.dim; }
-  void CopyIndexVectors(ItemId begin, ItemId end, float* out) const override;
-  void WriteIndexQuery(UserId u, float* out) const override;
 
  private:
   MetricFConfig config_;
-  Matrix user_;
-  Matrix item_;
 };
 
 }  // namespace mars

@@ -15,8 +15,7 @@
 
 #include <vector>
 
-#include "common/matrix.h"
-#include "models/recommender.h"
+#include "models/l2_recommender.h"
 
 namespace mars {
 
@@ -38,25 +37,12 @@ struct SmlConfig {
 };
 
 /// SML recommender.
-class Sml : public Recommender {
+class Sml : public L2Recommender {
  public:
   explicit Sml(SmlConfig config);
 
   void Fit(const ImplicitDataset& train, const TrainOptions& options) override;
-  float Score(UserId u, ItemId v) const override;
-  void ScoreItems(UserId u, std::span<const ItemId> items,
-                  float* out) const override;
-  void ScoreItemRange(UserId u, ItemId begin, ItemId end,
-                      float* out) const override;
-  void ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
-                           ItemId end, float* const* out) const override;
   std::string name() const override { return "SML"; }
-
-  // ANN capability: L2 geometry (Score == -distance², same as CML).
-  IndexGeometry index_geometry() const override { return IndexGeometry::kL2; }
-  size_t index_dim() const override { return config_.dim; }
-  void CopyIndexVectors(ItemId begin, ItemId end, float* out) const override;
-  void WriteIndexQuery(UserId u, float* out) const override;
 
   /// Learned per-user margins (for the ablation study and tests).
   const std::vector<float>& user_margins() const { return user_margin_; }
@@ -64,8 +50,6 @@ class Sml : public Recommender {
 
  private:
   SmlConfig config_;
-  Matrix user_;
-  Matrix item_;
   std::vector<float> user_margin_;
   std::vector<float> item_margin_;
 };

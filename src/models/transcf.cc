@@ -146,23 +146,26 @@ void TransCf::Fit(const ImplicitDataset& train, const TrainOptions& options) {
   RefreshNeighborhoodMeans(train);
 }
 
-void TransCf::ScoreItemRange(UserId u, ItemId begin, ItemId end,
-                             float* out) const {
+void TransCf::ScoreItemRangeMulti(std::span<const UserId> users,
+                                  ItemId begin, ItemId end,
+                                  float* const* out) const {
   // r_uv = α_u ⊙ β_v depends on the candidate, so there is no single-kernel
-  // form — but the user side (e_u, α_u) hoists, and the item tables are
-  // scanned sequentially over the contiguous range.
+  // form — but the user side (e_u, α_u) hoists per user, and the item
+  // tables are scanned sequentially over the contiguous range.
   const size_t d = config_.dim;
-  const float* au = user_nbr_.Row(u);
-  const float* eu = user_.Row(u);
-  for (ItemId v = begin; v < end; ++v) {
-    const float* bv = item_nbr_.Row(v);
-    const float* ev = item_.Row(v);
-    float acc = 0.0f;
-    for (size_t i = 0; i < d; ++i) {
-      const float e = eu[i] + au[i] * bv[i] - ev[i];
-      acc += e * e;
+  for (size_t b = 0; b < users.size(); ++b) {
+    const float* au = user_nbr_.Row(users[b]);
+    const float* eu = user_.Row(users[b]);
+    for (ItemId v = begin; v < end; ++v) {
+      const float* bv = item_nbr_.Row(v);
+      const float* ev = item_.Row(v);
+      float acc = 0.0f;
+      for (size_t i = 0; i < d; ++i) {
+        const float e = eu[i] + au[i] * bv[i] - ev[i];
+        acc += e * e;
+      }
+      out[b][v - begin] = -acc;
     }
-    out[v - begin] = -acc;
   }
 }
 

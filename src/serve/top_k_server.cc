@@ -1,7 +1,7 @@
 #include "serve/top_k_server.h"
 
 #include <algorithm>
-#include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -12,12 +12,12 @@ namespace mars {
 
 namespace {
 
-/// Items per scoring block of the multi-user batched sweep: the B score
-/// rows of one block (B · 2048 · 4 bytes) stay cache-resident while the
-/// per-user selection consumes them, and the block's item rows are
-/// streamed from memory exactly once for the whole batch. Blocking is
-/// invisible in the results — selection is exact per block and the merge
-/// is the same bounded-pool merge the solo sweep uses.
+/// Items per scoring block of the exact sweep: the B score rows of one
+/// block (B · 2048 · 4 bytes) stay cache-resident while the per-user
+/// selection consumes them, and the block's item rows are streamed from
+/// memory exactly once for the whole batch. Blocking is invisible in the
+/// results — selection is exact per block and the per-chunk pools merge
+/// into the same top-k whatever the block size.
 constexpr size_t kBatchBlockItems = 2048;
 
 /// Ranking order of the served lists: score descending, item id ascending
@@ -42,7 +42,7 @@ inline void CompactTopK(std::vector<std::pair<float, ItemId>>* buf,
 
 /// Streaming top-k selection over score ranges: threshold + bounded
 /// append + rare nth_element compaction, one comparison per item in the
-/// steady state. The state object exists so a blocked sweep (BatchSweep
+/// steady state. The state object exists so the blocked sweep (Sweep
 /// feeds one block's scores at a time) carries the threshold *across*
 /// blocks — resetting it per block re-warms the candidate buffer every
 /// 2k items, which measurably dominates the batched sweep's non-scoring
@@ -90,18 +90,6 @@ class RangeTopKSelector {
   bool has_threshold_ = false;
 };
 
-/// Appends the top-k (unsorted) of items [begin, end) to `out`, given
-/// their scores in `scores[0 .. end-begin)`. One-shot wrapper over
-/// RangeTopKSelector for the solo sweep's single-range calls.
-void SelectRangeTopK(const float* scores, ItemId begin, ItemId end,
-                     UserId u, size_t k, const ImplicitDataset* exclude,
-                     std::vector<std::pair<float, ItemId>>* out) {
-  if (k == 0) return;
-  RangeTopKSelector selector(u, k, exclude);
-  selector.Consume(scores, begin, end);
-  selector.Finish(out);
-}
-
 /// Sorts a candidate pool's k best into the final ranked (items, scores).
 void RankCandidates(std::vector<std::pair<float, ItemId>>* pool, size_t k,
                     std::vector<ItemId>* items, std::vector<float>* scores) {
@@ -126,6 +114,27 @@ size_t ResolveStripeCount(const TopKServerOptions& options,
 }
 
 }  // namespace
+
+bool IsRankedList(std::span<const ItemId> items, std::span<const float> scores,
+                  size_t num_items) {
+  if (items.size() != scores.size()) return false;
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (items[i] >= num_items || !std::isfinite(scores[i])) return false;
+    if (i > 0 && !RanksBetter({scores[i - 1], items[i - 1]},
+                              {scores[i], items[i]})) {
+      return false;
+    }
+  }
+  // Adjacent order alone still lets an item repeat at a lower score. Lists
+  // are at most the serving depth k long (10 by default), where a pairwise
+  // scan costs less than sorting a copy — a sidecar warm start checks
+  // thousands of lists.
+  bool repeated = false;
+  for (size_t i = 1; i < items.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) repeated |= items[i] == items[j];
+  }
+  return !repeated;
+}
 
 TopKServer::TopKServer(std::shared_ptr<const ItemScorer> model,
                        size_t num_users, size_t num_items,
@@ -252,36 +261,24 @@ uint64_t TopKServer::SweepMisses(std::span<const UserId> users,
   const bool ann_ok = index != nullptr &&
                       snapshot->index_geometry() != IndexGeometry::kNone &&
                       snapshot->index_dim() == index->dim();
-  if (users.size() == 1) {
-    // A batch of one takes the classic solo path — same kernels, same
-    // scratch reuse, zero batching overhead.
-    TopKResponse& r = (*results)[0];
-    if (ann_ok) {
-      AnnSweep(*snapshot, *index, users[0], &r.items, &r.scores);
-    } else {
-      Sweep(*snapshot, users[0], &r.items, &r.scores);
-    }
+  // A single-user miss is a batch of one: same bodies, same kernels.
+  if (ann_ok) {
+    AnnSweep(*snapshot, *index, users, results);
   } else {
-    if (ann_ok) {
-      AnnBatchSweep(*snapshot, *index, users, results);
-    } else {
-      BatchSweep(*snapshot, users, results);
-    }
+    Sweep(*snapshot, users, results);
+  }
+  const size_t served = users.size() + extra_requests;
+  (ann_ok ? ann_probes_ : exact_fallbacks_)
+      .fetch_add(served, std::memory_order_relaxed);
+  // The batching-efficacy counters track multi-user sweeps only.
+  if (users.size() >= 2) {
     batch_sweeps_.fetch_add(1, std::memory_order_relaxed);
-    coalesced_misses_.fetch_add(users.size() + extra_requests,
-                                std::memory_order_relaxed);
+    coalesced_misses_.fetch_add(served, std::memory_order_relaxed);
     uint64_t seen = max_batch_.load(std::memory_order_relaxed);
     while (seen < users.size() &&
            !max_batch_.compare_exchange_weak(seen, users.size(),
                                              std::memory_order_relaxed)) {
     }
-  }
-  if (ann_ok) {
-    ann_probes_.fetch_add(users.size() + extra_requests,
-                          std::memory_order_relaxed);
-  } else {
-    exact_fallbacks_.fetch_add(users.size() + extra_requests,
-                               std::memory_order_relaxed);
   }
   for (TopKResponse& r : *results) {
     r.epoch = pinned_epoch;
@@ -337,27 +334,16 @@ TopKResponse TopKServer::CoalescedMiss(UserId u) {
   self.user = u;
   std::unique_lock<std::mutex> lock(batch_mu_);
   batch_queue_.push_back(&self);
-  if (batch_leader_active_ && options_.batch.window_us > 0) {
-    // A leader may be inside its gathering window — let it see us.
-    batch_cv_.notify_all();
-  }
   while (!self.done && batch_leader_active_) batch_cv_.wait(lock);
   if (self.done) return std::move(self.result);
 
   // No leader running: this miss leads the next batch. Claim ourselves
-  // plus up to max_coalesced_batch - 1 queued misses, FIFO; anything
-  // beyond the cap stays queued for the next leader.
+  // plus up to batch.max_batch - 1 queued misses, FIFO; anything beyond
+  // the cap stays queued for the next leader.
   batch_leader_active_ = true;
   const size_t cap = std::max<size_t>(1, options_.batch.max_batch);
   batch_queue_.erase(
       std::find(batch_queue_.begin(), batch_queue_.end(), &self));
-  if (options_.batch.window_us > 0 && batch_queue_.size() + 1 < cap) {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(options_.batch.window_us);
-    batch_cv_.wait_until(lock, deadline,
-                         [&] { return batch_queue_.size() + 1 >= cap; });
-  }
   std::vector<PendingMiss*> batch;
   batch.reserve(std::min(cap, batch_queue_.size() + 1));
   batch.push_back(&self);
@@ -368,7 +354,7 @@ TopKResponse TopKServer::CoalescedMiss(UserId u) {
   lock.unlock();
 
   // Dedupe: concurrent misses for one user share a single sweep slot
-  // (solo TopK would sweep them redundantly — wasted work, same answer).
+  // (separate sweeps would be wasted work for the same answer).
   std::vector<UserId> users;
   std::vector<size_t> slot(batch.size());
   users.reserve(batch.size());
@@ -474,104 +460,8 @@ std::vector<TopKResponse> TopKServer::TopKBatch(
   return TopKBatch(std::span<const TopKRequest>(requests));
 }
 
-void TopKServer::Sweep(const ItemScorer& model, UserId u,
-                       std::vector<ItemId>* items,
-                       std::vector<float>* scores) {
-  const size_t k = std::min(options_.k, num_items_);
-  const ImplicitDataset* exclude = options_.exclude_interactions;
-
-  const bool parallel_ok = options_.pool != nullptr && model.thread_safe() &&
-                           !options_.pool->IsWorkerThread();
-  const size_t chunks = std::min(
-      num_items_,
-      std::max<size_t>(1, !parallel_ok ? 1
-                          : options_.sweep_shards > 0
-                              ? options_.sweep_shards
-                              : options_.pool->num_threads()));
-
-  // Each chunk scans one contiguous ShardRange — the item blocks inside
-  // it are sequential in memory — and keeps a bounded local top-k.
-  std::vector<std::vector<std::pair<float, ItemId>>> per_chunk(chunks);
-  const auto scan_chunk = [&, k](size_t c) {
-    const auto [begin, end] = FacetStore::ShardRange(num_items_, c, chunks);
-    if (begin == end) return;
-    // Per-thread score buffer: misses on one thread (or successive chunks
-    // on one pool worker) reuse the allocation instead of paying a
-    // catalog-sized malloc per sweep.
-    static thread_local std::vector<float> chunk_scores;
-    chunk_scores.resize(end - begin);
-    model.ScoreItemRange(u, begin, end, chunk_scores.data());
-    SelectRangeTopK(chunk_scores.data(), begin, end, u, k, exclude,
-                    &per_chunk[c]);
-  };
-
-  if (chunks > 1) {
-    options_.pool->RunBatch(chunks, scan_chunk);
-  } else if (!model.thread_safe()) {
-    // A model with shared internal scoring scratch cannot even be swept
-    // serially from two frontend threads at once.
-    std::unique_lock<std::mutex> lock(serial_model_mu_);
-    scan_chunk(0);
-  } else {
-    scan_chunk(0);
-  }
-
-  // Merge the per-chunk winners (≤ k each) into the final ranking.
-  std::vector<std::pair<float, ItemId>> merged;
-  merged.reserve(chunks * k);
-  for (const auto& chunk : per_chunk) {
-    merged.insert(merged.end(), chunk.begin(), chunk.end());
-  }
-  RankCandidates(&merged, k, items, scores);
-}
-
-void TopKServer::AnnSweep(const ItemScorer& model, const CandidateIndex& index,
-                          UserId u, std::vector<ItemId>* items,
-                          std::vector<float>* scores) {
-  const size_t k = std::min(options_.k, num_items_);
-  if (k == 0) {
-    items->clear();
-    scores->clear();
-    return;
-  }
-  const ImplicitDataset* exclude = options_.exclude_interactions;
-  // Per-thread buffers, same rationale as Sweep's chunk scratch.
-  static thread_local std::vector<float> query;
-  static thread_local std::vector<ItemId> cands;
-  static thread_local std::vector<float> cand_scores;
-  query.resize(index.dim());
-  cands.clear();
-  // Overfetch: k·overfetch candidates absorb near-boundary ranking churn;
-  // widening by the user's interaction count guarantees exclusion
-  // filtering alone can never shorten the answer below k (for the exact
-  // VP-tree this keeps the served top-k exactly the brute-force one).
-  const size_t excluded = exclude != nullptr ? exclude->UserDegree(u) : 0;
-  const size_t overfetch = std::max<size_t>(1, options_.ann.index.overfetch);
-  const size_t want = std::max(k * overfetch, k + excluded);
-  {
-    // Same guard as Sweep: shared-scratch models are probed and re-ranked
-    // under the serial-model lock.
-    std::unique_lock<std::mutex> model_lock(serial_model_mu_,
-                                            std::defer_lock);
-    if (!model.thread_safe()) model_lock.lock();
-    model.WriteIndexQuery(u, query.data());
-    index.Probe(query.data(), want, &cands);
-    cand_scores.resize(cands.size());
-    model.ScoreItems(u, cands, cand_scores.data());
-  }
-  static thread_local std::vector<std::pair<float, ItemId>> selected;
-  selected.clear();
-  selected.reserve(cands.size());
-  for (size_t i = 0; i < cands.size(); ++i) {
-    if (exclude != nullptr && exclude->HasInteraction(u, cands[i])) continue;
-    selected.emplace_back(cand_scores[i], cands[i]);
-  }
-  RankCandidates(&selected, k, items, scores);
-}
-
-void TopKServer::BatchSweep(const ItemScorer& model,
-                            std::span<const UserId> users,
-                            std::vector<TopKResponse>* results) {
+void TopKServer::Sweep(const ItemScorer& model, std::span<const UserId> users,
+                       std::vector<TopKResponse>* results) {
   const size_t B = users.size();
   const size_t k = std::min(options_.k, num_items_);
   const ImplicitDataset* exclude = options_.exclude_interactions;
@@ -597,12 +487,13 @@ void TopKServer::BatchSweep(const ItemScorer& model,
     // selection consumes them. An item's score does not depend on the
     // range it was scored in, and the union of per-block top-ks contains
     // the chunk top-k, so blocking never changes the served ranking.
+    // Per-thread score buffer: misses on one thread (or successive chunks
+    // on one pool worker) reuse the allocation.
     static thread_local std::vector<float> block_scores;
     std::vector<float*> outs(B);
     // One selector per user for the whole chunk: the rejection threshold
     // tightens once over the first blocks and then survives block
-    // boundaries, keeping selection at one comparison per item exactly
-    // like the solo sweep's single-range call.
+    // boundaries, keeping selection at one comparison per item.
     std::vector<RangeTopKSelector> selectors;
     selectors.reserve(B);
     for (size_t b = 0; b < B; ++b) {
@@ -616,7 +507,15 @@ void TopKServer::BatchSweep(const ItemScorer& model,
       for (size_t b = 0; b < B; ++b) {
         outs[b] = block_scores.data() + b * (be - bb);
       }
-      model.ScoreItemRangeMulti(users, bb, be, outs.data());
+      // A batch of one scores through ScoreItemRange, the B = 1 form of
+      // the same surface (bit-identical by the ItemScorer contract), so a
+      // decorator that wraps only the single-user form still sees every
+      // single-user sweep.
+      if (B == 1) {
+        model.ScoreItemRange(users[0], bb, be, outs[0]);
+      } else {
+        model.ScoreItemRangeMulti(users, bb, be, outs.data());
+      }
       for (size_t b = 0; b < B; ++b) {
         selectors[b].Consume(outs[b], bb, be);
       }
@@ -630,7 +529,8 @@ void TopKServer::BatchSweep(const ItemScorer& model,
   if (chunks > 1) {
     options_.pool->RunBatch(chunks, scan_chunk);
   } else if (!model.thread_safe()) {
-    // Same guard as Sweep: shared-scratch models are swept serially.
+    // A model with shared internal scoring scratch cannot even be swept
+    // serially from two frontend threads at once.
     std::unique_lock<std::mutex> lock(serial_model_mu_);
     scan_chunk(0);
   } else {
@@ -649,10 +549,9 @@ void TopKServer::BatchSweep(const ItemScorer& model,
   }
 }
 
-void TopKServer::AnnBatchSweep(const ItemScorer& model,
-                               const CandidateIndex& index,
-                               std::span<const UserId> users,
-                               std::vector<TopKResponse>* results) {
+void TopKServer::AnnSweep(const ItemScorer& model, const CandidateIndex& index,
+                          std::span<const UserId> users,
+                          std::vector<TopKResponse>* results) {
   const size_t B = users.size();
   const size_t k = std::min(options_.k, num_items_);
   if (k == 0) {
@@ -664,36 +563,48 @@ void TopKServer::AnnBatchSweep(const ItemScorer& model,
   }
   const ImplicitDataset* exclude = options_.exclude_interactions;
   const size_t overfetch = std::max<size_t>(1, options_.ann.index.overfetch);
-  std::vector<size_t> wants(B);
-  std::vector<float> queries(B * index.dim());
-  std::vector<std::vector<ItemId>> cands(B);
-  std::vector<std::vector<float>> cand_scores(B);
+  // Per-thread buffers: misses on one thread reuse every allocation of
+  // the probe and re-rank, the common single-user miss included.
+  static thread_local std::vector<size_t> wants;
+  static thread_local std::vector<float> queries;
+  static thread_local std::vector<std::vector<ItemId>> cands;
+  static thread_local std::vector<std::vector<float>> cand_scores;
+  static thread_local std::vector<std::pair<float, ItemId>> selected;
+  wants.resize(B);
+  queries.resize(B * index.dim());
+  if (cands.size() < B) {
+    cands.resize(B);
+    cand_scores.resize(B);
+  }
   {
-    // Same guard as AnnSweep: shared-scratch models are probed and
-    // re-ranked under the serial-model lock.
+    // Shared-scratch models are probed and re-ranked under the
+    // serial-model lock.
     std::unique_lock<std::mutex> model_lock(serial_model_mu_,
                                             std::defer_lock);
     if (!model.thread_safe()) model_lock.lock();
     for (size_t b = 0; b < B; ++b) {
+      // Overfetch: k·overfetch candidates absorb near-boundary ranking
+      // churn; widening by the user's interaction count guarantees
+      // exclusion filtering alone can never shorten the answer below k
+      // (for the exact VP-tree this keeps the served top-k exactly the
+      // brute-force one).
       const size_t excluded =
           exclude != nullptr ? exclude->UserDegree(users[b]) : 0;
       wants[b] = std::max(k * overfetch, k + excluded);
       model.WriteIndexQuery(users[b], queries.data() + b * index.dim());
+      cands[b].clear();
     }
     // One shared probe: the IVF scores all B queries against the centroid
     // matrix in a single multi-query pass; per query the candidate set is
-    // bit-identical to a solo Probe (the ProbeBatch contract), so the
-    // re-ranked answers match B solo AnnSweeps of this snapshot.
+    // bit-identical to a solo Probe (the ProbeBatch contract).
     index.ProbeBatch(queries.data(), B, wants.data(), &cands);
     for (size_t b = 0; b < B; ++b) {
       cand_scores[b].resize(cands[b].size());
       model.ScoreItems(users[b], cands[b], cand_scores[b].data());
     }
   }
-  std::vector<std::pair<float, ItemId>> selected;
   for (size_t b = 0; b < B; ++b) {
     selected.clear();
-    selected.reserve(cands[b].size());
     for (size_t i = 0; i < cands[b].size(); ++i) {
       if (exclude != nullptr &&
           exclude->HasInteraction(users[b], cands[b][i])) {
@@ -839,8 +750,8 @@ bool TopKServer::RefreshEntry(const ItemScorer& model, UserId u,
   std::pair<float, ItemId> threshold = old_kth;
   bool has_threshold = old_full;
   {
-    // Same guard as Sweep: a model with shared internal scoring scratch
-    // must not be scored here while a frontend miss sweeps it.
+    // Same guard as the miss sweeps: a model with shared internal scoring
+    // scratch must not be scored here while a frontend miss sweeps it.
     std::unique_lock<std::mutex> model_lock(serial_model_mu_,
                                             std::defer_lock);
     if (!model.thread_safe()) model_lock.lock();
@@ -972,12 +883,10 @@ void TopKServer::InvalidateAll() {
 bool TopKServer::Prime(UserId u, std::vector<ItemId> items,
                        std::vector<float> scores) {
   const size_t cap = std::min(options_.k, num_items_);
-  if (u >= num_users_ || items.size() != scores.size() ||
-      items.size() > cap || options_.cache.max_users == 0) {
+  if (u >= num_users_ || items.size() > cap ||
+      options_.cache.max_users == 0 ||
+      !IsRankedList(items, scores, num_items_)) {
     return false;
-  }
-  for (const ItemId v : items) {
-    if (v >= num_items_) return false;
   }
   Stripe& stripe = stripes_[StripeOf(u)];
   std::unique_lock<std::mutex> lock(stripe.mu);

@@ -1,12 +1,14 @@
 // Concurrent top-k serving over epoch-swapped model snapshots.
 //
 // TopKServer answers "top-k items for user u" by sweeping the *entire*
-// catalog with the model's ScoreItemRange (the contiguous-block serving
-// adapter every model overrides with its batch kernel — DotBatch for
-// dot-product models, SquaredDistanceBatch for metric models, the fused
-// WeightedFacetDot path for MARS/MAR), then keeps the ranked top-k per user
-// in a bounded, mutex-striped LRU cache so hot users are answered without
-// touching the embedding tables at all.
+// catalog with the model's ScoreItemRangeMulti (the contiguous-block
+// serving adapter every model overrides with its multi-user block kernel —
+// DotBatchMulti for dot-product models, NegatedSquaredDistanceBatchMulti
+// for metric models, the fused WeightedFacet*Multi path for MARS/MAR),
+// then keeps the ranked top-k per user in a bounded, mutex-striped LRU
+// cache so hot users are answered without touching the embedding tables
+// at all. Every miss runs the same sweep body: a single-user miss is a
+// batch of one.
 //
 // With ann.enable set (and a model that declares an index geometry — see
 // eval/scorer.h), the miss path goes sub-linear: probe a CandidateIndex
@@ -155,20 +157,17 @@ struct BatchOptions {
   /// response is bit-identical to its solo sweep against the same pinned
   /// snapshot, and each user caches under its own pinned-epoch rule, so
   /// this changes throughput, never answers. An uncontended miss pays one
-  /// uncontended mutex hop and sweeps alone — no added latency. Turn off
-  /// to restore fully independent concurrent sweeps (e.g. many idle cores,
-  /// no pool, compute-bound models). Pool worker threads always bypass the
-  /// coalescer: a worker waiting on another miss's sweep could deadlock
-  /// the pool that sweep fans over.
+  /// uncontended mutex hop and sweeps as a batch of one — no added
+  /// latency. Batches form only from misses that queued behind an
+  /// in-flight sweep, which is where the win is under real concurrency.
+  /// Turn off to restore fully independent concurrent sweeps (e.g. many
+  /// idle cores, no pool, compute-bound models). Pool worker threads
+  /// always bypass the coalescer: a worker waiting on another miss's sweep
+  /// could deadlock the pool that sweep fans over.
   bool coalesce_misses = true;
   /// Users per coalesced batch, at most (bounds the per-chunk score
   /// buffers; excess queued misses form the next batch).
   size_t max_batch = 16;
-  /// Optional gathering window: a batch leader waits up to this long for
-  /// more misses to queue before sweeping. 0 (default) adds no latency —
-  /// batches then form only from misses that queued behind an in-flight
-  /// sweep, which is where the win is under real concurrency.
-  size_t window_us = 0;
 };
 
 /// Serving knobs. The cache/ann/batch sprawl lives in nested groups so
@@ -216,7 +215,7 @@ struct TopKServerStats {
                                     // refresh_drops - ann_refresh_probes
                                     // = exact-path refresh attempts.
   // Batching efficacy (the miss coalescer + TopKBatch; a "batch" here is
-  // a multi-user sweep of >= 2 users — solo misses don't count):
+  // a multi-user sweep of >= 2 users — single-user sweeps don't count):
   uint64_t coalesced_misses = 0;  // misses served by a multi-user sweep
                                   // (duplicate concurrent misses for one
                                   // user each count — they were misses)
@@ -225,6 +224,15 @@ struct TopKServerStats {
   double mean_batch_size = 0.0;   // coalesced_misses / batch_sweeps
   size_t cached_users = 0;
 };
+
+/// True when (items, scores) has the shape of a served ranking over the
+/// catalog [0, num_items): parallel lists of equal length, every id inside
+/// the catalog, finite scores, adjacent entries strictly ordered by
+/// (score desc, item id asc), and no item listed twice. Prime and the
+/// sidecar loader accept only such lists — a served entry's last score is
+/// the k-th-rank cutoff incremental refresh relies on.
+bool IsRankedList(std::span<const ItemId> items, std::span<const float> scores,
+                  size_t num_items);
 
 /// Full-catalog top-k server: concurrent read front over a striped cache,
 /// epoch-swapped snapshots, incremental shard-granular invalidation.
@@ -325,14 +333,14 @@ class TopKServer {
   void InvalidateAll();
 
   /// Inserts a precomputed ranking for `u` as if a sweep had produced it
-  /// (the warm-start path of serve/top_k_sidecar.h). The list must be
-  /// ranked best-first with parallel scores, at most min(k, num_items)
-  /// long, with every id inside the catalog; an existing entry for `u` is
-  /// replaced. Counts as neither hit nor miss; the stripe's LRU bound
-  /// still applies. A primed entry refreshes like a swept one — provided
-  /// it really was the current snapshot's top-k, which is the sidecar
-  /// pairing contract. Returns false (no insert) on out-of-range user or
-  /// item, mismatched lengths, or an over-long list.
+  /// (the warm-start path of serve/top_k_sidecar.h). The list must be a
+  /// ranked list of catalog items (IsRankedList) at most min(k, num_items)
+  /// long; an existing entry for `u` is replaced. Counts as neither hit
+  /// nor miss; the stripe's LRU bound still applies. A primed entry
+  /// refreshes like a swept one — provided it really was the current
+  /// snapshot's top-k, which is the sidecar pairing contract. Returns
+  /// false (no insert) on an out-of-range user, a list that is not a
+  /// ranked list of catalog items, or an over-long list.
   bool Prime(UserId u, std::vector<ItemId> items, std::vector<float> scores);
 
   /// Visits every cached entry, most recently used first *within each
@@ -432,8 +440,8 @@ class TopKServer {
 
   /// Miss-path core shared by TopK, the coalescer and TopKBatch: pins one
   /// (snapshot, epoch) for the whole batch, sweeps every user against it
-  /// (solo kernels for one user; the multi-user batched sweep for >= 2),
-  /// stamps per-result epochs, and attributes stats. `users` must be
+  /// (Sweep or AnnSweep, whatever the batch size — one user is a batch of
+  /// one), stamps per-result epochs, and attributes stats. `users` must be
   /// deduplicated and non-empty; returns the pinned epoch.
   /// `extra_requests` is the number of duplicate miss *queries* beyond
   /// the deduped users this sweep also serves (the coalescer counts each
@@ -444,9 +452,8 @@ class TopKServer {
                        size_t extra_requests = 0);
 
   /// Caches a finished miss for `u` under the pinned-epoch rule (and
-  /// counts the miss) — the tail of the classic TopK miss path, shared
-  /// verbatim by the batched paths so every batch member inserts exactly
-  /// as its solo sweep would.
+  /// counts the miss) — the tail shared verbatim by every miss path
+  /// (TopK, the coalescer, TopKBatch).
   void InsertMissEntry(UserId u, const TopKResponse& result,
                        uint64_t pinned_epoch);
 
@@ -455,37 +462,27 @@ class TopKServer {
   /// batch.max_batch queued misses and sweep them as one batch.
   TopKResponse CoalescedMiss(UserId u);
 
-  /// Full-catalog sweep of `model` for `u` into a ranked top-k. Runs
-  /// outside every stripe lock; fans out over the pool when the model
-  /// allows it and the calling thread is not itself a pool worker.
-  void Sweep(const ItemScorer& model, UserId u, std::vector<ItemId>* items,
-             std::vector<float>* scores);
+  /// Exact full-catalog sweep of `model` for a batch of users: one
+  /// RunBatch job per item chunk scores *all* users of the batch per block
+  /// through ScoreItemRangeMulti, then runs the per-user bounded selection
+  /// while the block's score rows are cache-hot; per-(user, chunk) pools
+  /// merge into each user's ranked top-k. Runs outside every stripe lock;
+  /// fans out over the pool when the model allows it and the calling
+  /// thread is not itself a pool worker. Each user's ranking is independent
+  /// of the batch it rode in.
+  void Sweep(const ItemScorer& model, std::span<const UserId> users,
+             std::vector<TopKResponse>* results);
 
-  /// ANN miss path: probe `index` for an overfetched candidate block
+  /// ANN miss path for a batch of users: per-user queries written into one
+  /// packed buffer, one ProbeBatch (the IVF shares a single centroid-matrix
+  /// scan across the batch) for an overfetched candidate block per user
   /// (k·overfetch, widened by the user's exclusion count so filtering
-  /// cannot shorten the answer), re-rank it with the model's exact
-  /// ScoreItems, and apply the usual exclusion + (score desc, id asc)
-  /// ranking. Runs outside every stripe lock, like Sweep.
+  /// cannot shorten the answer), then a re-rank with the model's exact
+  /// ScoreItems and the usual exclusion + (score desc, id asc) ranking.
+  /// Runs outside every stripe lock, like Sweep.
   void AnnSweep(const ItemScorer& model, const CandidateIndex& index,
-                UserId u, std::vector<ItemId>* items,
-                std::vector<float>* scores);
-
-  /// Multi-user exact sweep (batch size >= 2): one RunBatch job per item
-  /// chunk scores *all* batched users per block through
-  /// ScoreItemRangeMulti, then runs the per-user bounded selection while
-  /// the block's score rows are cache-hot; per-(user, chunk) pools merge
-  /// exactly as Sweep's per-chunk pools do, so each user's ranking is
-  /// bit-identical to a solo Sweep of the same snapshot.
-  void BatchSweep(const ItemScorer& model, std::span<const UserId> users,
-                  std::vector<TopKResponse>* results);
-
-  /// Multi-user ANN path: per-user queries written into one packed
-  /// buffer, one ProbeBatch (the IVF shares a single centroid-matrix scan
-  /// across the batch), then the usual per-user exact re-rank — each
-  /// user's answer is bit-identical to a solo AnnSweep.
-  void AnnBatchSweep(const ItemScorer& model, const CandidateIndex& index,
-                     std::span<const UserId> users,
-                     std::vector<TopKResponse>* results);
+                std::span<const UserId> users,
+                std::vector<TopKResponse>* results);
 
   /// Maintenance-side index refresh against `snapshot`: incremental
   /// (CandidateIndex::Rebuilt over `dirty_items`) when a compatible index

@@ -130,11 +130,11 @@ size_t WarmFromSidecar(TopKServer* server, const std::string& path) {
                         << " in " << path;
         return 0;
       }
-      if (v >= n_items) {
-        MARS_LOG(ERROR) << "WarmFromSidecar: out-of-catalog item in entry "
-                        << i << " of " << path;
-        return 0;
-      }
+    }
+    if (!IsRankedList(e.items, e.scores, n_items)) {
+      MARS_LOG(ERROR) << "WarmFromSidecar: entry " << i << " of " << path
+                      << " is not a ranked list of catalog items";
+      return 0;
     }
     entries.push_back(std::move(e));
   }

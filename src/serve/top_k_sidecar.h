@@ -17,10 +17,12 @@
 // only meaningful next to the exact model snapshot it was generated
 // with, served under the same TopKServerOptions (in particular the same
 // exclude_interactions set). What the loader *verifies* is the cheap,
-// mechanical part — k, user count, item count, per-entry bounds — which
-// catches wrong-catalog and corrupt files; binding the sidecar to the
-// right snapshot and options is the caller's job (ship the two files as
-// a unit and regenerate the sidecar whenever either changes).
+// mechanical part — k, user count, item count, per-entry bounds, and that
+// every entry is a ranked list (IsRankedList) — which catches
+// wrong-catalog and corrupt files (the format carries no checksum);
+// binding the sidecar to the right snapshot and options is the caller's
+// job (ship the two files as a unit and regenerate the sidecar whenever
+// either changes).
 #ifndef MARS_SERVE_TOP_K_SIDECAR_H_
 #define MARS_SERVE_TOP_K_SIDECAR_H_
 

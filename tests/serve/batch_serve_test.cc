@@ -4,13 +4,16 @@
 // multi-user batched sweep (ScoreItemRangeMulti block kernels, shared
 // ProbeBatch on the ANN path) must equal — items AND float scores — the
 // answer a solo TopK computes against the same snapshot, for every model
-// the serving layer supports. The coalescer tests additionally race the
+// the serving layer supports. A solo miss runs the same sweep body as a
+// batch of one, so exact answers are also pinned against an independent
+// brute force built from ScoreItems (the gather kernels). The coalescer tests additionally race the
 // batching machinery under TSAN (suite names match the ci.sh sanitizer
 // filter) and pin every coalesced response to a published snapshot epoch.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <numeric>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -53,12 +56,43 @@ TrainOptions QuickTrain() {
   return options;
 }
 
+/// Independent exact reference: `u`'s top-k by (score desc, id asc) over
+/// the whole catalog, scored through ScoreItems (the gather kernels, not
+/// the range kernels the sweep uses) and honoring the server's exclusions.
+TopKResponse BruteForceTopK(const ItemScorer& model, UserId u,
+                            size_t num_items, const TopKServerOptions& opts) {
+  std::vector<ItemId> all(num_items);
+  std::iota(all.begin(), all.end(), ItemId{0});
+  std::vector<float> scores(num_items);
+  model.ScoreItems(u, all, scores.data());
+  const ImplicitDataset* exclude = opts.exclude_interactions;
+  std::vector<std::pair<float, ItemId>> ranked;
+  for (ItemId v = 0; v < num_items; ++v) {
+    if (exclude == nullptr || !exclude->HasInteraction(u, v)) {
+      ranked.emplace_back(scores[v], v);
+    }
+  }
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    return a.first > b.first || (a.first == b.first && a.second < b.second);
+  });
+  ranked.resize(std::min(opts.k, ranked.size()));
+  TopKResponse out;
+  for (const auto& [s, v] : ranked) {
+    out.items.push_back(v);
+    out.scores.push_back(s);
+  }
+  return out;
+}
+
 /// The pinning check: a TopKBatch over `users` (duplicates included) must
 /// return, position by position, exactly what a solo-TopK server answers
 /// for that user — same items, bit-equal scores. Two fresh servers with
-/// identical options, so both sides sweep the same snapshot cold.
+/// identical options, so both sides sweep the same snapshot cold. With
+/// `exact_reference` (every exact-answer config), both must also equal
+/// the ScoreItems brute force.
 void ExpectBatchMatchesSolo(Recommender* model, const ImplicitDataset& data,
-                            TopKServerOptions opts) {
+                            TopKServerOptions opts,
+                            bool exact_reference = true) {
   TopKServer batch_server(model, data.num_users(), data.num_items(), opts);
   TopKServer solo_server(model, data.num_users(), data.num_items(), opts);
 
@@ -71,6 +105,13 @@ void ExpectBatchMatchesSolo(Recommender* model, const ImplicitDataset& data,
         << model->name() << " position " << i << " user " << users[i];
     EXPECT_EQ(got[i].scores, want.scores)
         << model->name() << " position " << i << " user " << users[i];
+    if (!exact_reference) continue;
+    const TopKResponse brute =
+        BruteForceTopK(*model, users[i], data.num_items(), opts);
+    EXPECT_EQ(want.items, brute.items)
+        << model->name() << " brute force, user " << users[i];
+    EXPECT_EQ(want.scores, brute.scores)
+        << model->name() << " brute force, user " << users[i];
   }
 
   // Batched misses cache exactly like solo ones: the same batch again is
@@ -114,9 +155,11 @@ TEST(TopKServerBatchEquivalence, MarsSingleFacetCosinePath) {
   Mars model(cfg);
   model.Fit(*data, QuickTrain());
   // K = 1 keeps the CosineBatch sweep per user on both sides, so batch
-  // and solo stay bit-equal to each other (brute-force tolerance is the
-  // solo suite's concern).
-  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
+  // and solo stay bit-equal to each other. The gather path scores the
+  // weighted dot instead, so the ScoreItems brute force agrees only to a
+  // tolerance (the solo suite's concern) and is not pinned here.
+  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data),
+                         /*exact_reference=*/false);
 }
 
 TEST(TopKServerBatchEquivalence, MarFree) {
@@ -193,7 +236,9 @@ TEST(TopKServerBatchEquivalence, BprAnnSharedProbe) {
   model.Fit(*data, QuickTrain());
   TopKServerOptions opts = ExactOpts(*data);
   opts.ann.enable = true;
-  ExpectBatchMatchesSolo(&model, *data, opts);
+  // The IVF at its default nprobe is approximate, so the exhaustive brute
+  // force is not its reference.
+  ExpectBatchMatchesSolo(&model, *data, opts, /*exact_reference=*/false);
 }
 
 TEST(TopKServerBatchEquivalence, CmlAnnVpTreeDefaultProbeBatch) {
@@ -218,6 +263,38 @@ TEST(TopKServerBatchEquivalence, PoolBackedBatchSweepMatchesSolo) {
   opts.pool = &pool;
   opts.sweep_shards = 6;
   ExpectBatchMatchesSolo(&model, *data, opts);
+}
+
+TEST(TopKServerBatchEquivalence, MultiBlockCatalogMatchesBruteForce) {
+  // A catalog spanning more than three of the sweep's 2048-item scoring
+  // blocks, fanned over 3 chunks whose bounds (~2350, ~4700) fall
+  // mid-block: selection thresholds carry across block boundaries inside
+  // each chunk, and the per-chunk pools merge. A batch of one and a batch
+  // of five must both equal the ScoreItems brute force.
+  const auto data = SmallDataset(40, 3 * 2048 + 900);
+  Bpr model(BprConfig{.dim = 16});
+  TrainOptions train = QuickTrain();
+  train.epochs = 1;
+  model.Fit(*data, train);
+  ThreadPool pool(2);
+  TopKServerOptions opts = ExactOpts(*data);
+  opts.pool = &pool;
+  opts.sweep_shards = 3;
+  for (const std::vector<UserId>& batch :
+       {std::vector<UserId>{3}, std::vector<UserId>{3, 0, 5, 7, 1}}) {
+    TopKServer server(&model, data->num_users(), data->num_items(), opts);
+    const std::vector<TopKResponse> got = server.TopKBatch(batch);
+    ASSERT_EQ(got.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const TopKResponse want =
+          BruteForceTopK(model, batch[i], data->num_items(), opts);
+      EXPECT_EQ(got[i].items, want.items)
+          << "B=" << batch.size() << " user " << batch[i];
+      EXPECT_EQ(got[i].scores, want.scores)
+          << "B=" << batch.size() << " user " << batch[i];
+    }
+    EXPECT_EQ(server.stats().batch_sweeps, batch.size() >= 2 ? 1u : 0u);
+  }
 }
 
 /// Deterministic synthetic scorer (same formula as the solo suites).
@@ -327,44 +404,6 @@ std::vector<std::pair<std::vector<ItemId>, std::vector<float>>> BruteForceAll(
   return out;
 }
 
-TEST(TopKServerCoalesceTest, WindowedLeaderGathersConcurrentMisses) {
-  // Deterministic coalescing: with a gathering window armed and the cap
-  // at the thread count, the first miss leads and waits for the rest, so
-  // the four concurrent misses are served by (at most two, normally one)
-  // multi-user sweeps — and each answer is still the exact ranking.
-  const size_t kUsers = 8, kItems = 200, kK = 5, kThreads = 4;
-  GenScorer scorer(0.0f);
-  const auto want = BruteForceAll(scorer, kUsers, kItems, kK);
-
-  TopKServerOptions opts;
-  opts.k = kK;
-  opts.cache.max_users = 0;  // no cache: every query is a miss
-  opts.batch.max_batch = kThreads;
-  opts.batch.window_us = 2'000'000;  // returns early once all queue up
-  TopKServer server(&scorer, kUsers, kItems, opts);
-
-  std::atomic<size_t> wrong{0};
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      const TopKResponse got = server.TopK(static_cast<UserId>(t));
-      if (got.items != want[t].first || got.scores != want[t].second) {
-        wrong.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(wrong.load(), 0u);
-  const TopKServerStats stats = server.stats();
-  EXPECT_EQ(stats.misses, kThreads);
-  EXPECT_GE(stats.batch_sweeps, 1u);
-  EXPECT_GE(stats.coalesced_misses, 2u);
-  EXPECT_GE(stats.max_batch_size, 2u);
-  EXPECT_LE(stats.max_batch_size, opts.batch.max_batch);
-  EXPECT_GE(stats.mean_batch_size, 2.0);
-}
-
 TEST(TopKServerCoalesceTest, RacedCoalescedResponsesPinPublishedEpochs) {
   // The coalescer acceptance race (run under TSAN with no suppressions in
   // scope): query threads hammer an uncached server — every query takes
@@ -431,9 +470,9 @@ TEST(TopKServerCoalesceTest, RacedCoalescedResponsesPinPublishedEpochs) {
 }
 
 TEST(TopKServerCoalesceTest, ConcurrentSameUserMissesShareOneSweep) {
-  // Duplicate concurrent misses coalesce into one sweep slot but still
-  // count one miss each (hits + misses == query count holds), and every
-  // caller gets the full exact answer.
+  // Duplicate concurrent misses that queue behind one leader coalesce into
+  // one sweep slot but still count one miss each (hits + misses == query
+  // count holds), and every caller gets the full exact answer.
   const size_t kUsers = 4, kItems = 150, kK = 5, kThreads = 4;
   GenScorer scorer(0.0f);
   const auto want = BruteForceAll(scorer, kUsers, kItems, kK);
@@ -442,7 +481,6 @@ TEST(TopKServerCoalesceTest, ConcurrentSameUserMissesShareOneSweep) {
   opts.k = kK;
   opts.cache.max_users = 0;
   opts.batch.max_batch = kThreads;
-  opts.batch.window_us = 2'000'000;
   TopKServer server(&scorer, kUsers, kItems, opts);
 
   const UserId u = 2;

@@ -458,18 +458,23 @@ TEST(SnapshotHandleServeTest, NonThreadSafeModelSerializesSweepsAndRefreshes) {
   // — this one really does — so the server must serialize every scoring
   // path against every other: miss sweeps across frontend threads AND the
   // maintenance side's incremental refresh re-scoring. Raced under TSAN
-  // (an unserialized ScoreItemRange here is a hard data race on `buf_`),
-  // and checked for exact answers (a race would also corrupt scores).
+  // (an unserialized ScoreItemRangeMulti here is a hard data race on
+  // `buf_`), and checked for exact answers (a race would also corrupt
+  // scores).
   class ScratchScorer : public ItemScorer {
    public:
     float Score(UserId u, ItemId v) const override {
       return static_cast<float>((v * 37 + u * 11) % 101);
     }
-    void ScoreItemRange(UserId u, ItemId begin, ItemId end,
-                        float* out) const override {
-      buf_.resize(end - begin);  // shared mutable scratch, on purpose
-      for (ItemId v = begin; v < end; ++v) buf_[v - begin] = Score(u, v);
-      std::copy(buf_.begin(), buf_.end(), out);
+    void ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
+                             ItemId end, float* const* out) const override {
+      for (size_t b = 0; b < users.size(); ++b) {
+        buf_.resize(end - begin);  // shared mutable scratch, on purpose
+        for (ItemId v = begin; v < end; ++v) {
+          buf_[v - begin] = Score(users[b], v);
+        }
+        std::copy(buf_.begin(), buf_.end(), out[b]);
+      }
     }
     bool thread_safe() const override { return false; }
 

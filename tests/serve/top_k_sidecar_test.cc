@@ -1,8 +1,10 @@
 #include "serve/top_k_sidecar.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -198,12 +200,49 @@ TEST_F(SidecarFixture, RejectsGarbageAndTruncation) {
   // (after count floats of scores).
   uint32_t count;
   std::memcpy(&count, corrupt.data() + header + 4, 4);
-  std::memcpy(corrupt.data() + header + 8 + count * 4, &bogus_item, 4);
-  {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
+  ASSERT_GE(count, 3u);
+  const size_t scores_at = header + 8;
+  const size_t items_at = scores_at + count * 4;
+  std::memcpy(corrupt.data() + items_at, &bogus_item, 4);
+  const auto expect_rejected = [&](const std::string& file, const char* why) {
+    {
+      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      out.write(file.data(), static_cast<std::streamsize>(file.size()));
+    }
+    EXPECT_EQ(WarmFromSidecar(&fresh, path_), 0u) << why;
+    EXPECT_EQ(fresh.stats().cached_users, 0u) << why;
+  };
+  expect_rejected(corrupt, "out-of-catalog item");
+
+  // The format has no checksum, so entries that are not ranked lists are
+  // rejected by content — one bad entry still loads nothing. Every case
+  // patches the *last* entry, after intact ones the loader has parsed.
+  size_t last = header;
+  for (size_t e = 0; e + 1 < 5; ++e) {
+    uint32_t c;
+    std::memcpy(&c, bytes.data() + last + 4, 4);
+    last += 8 + 8 * static_cast<size_t>(c);
   }
-  EXPECT_EQ(WarmFromSidecar(&fresh, path_), 0u);
+  std::memcpy(&count, bytes.data() + last + 4, 4);
+  ASSERT_GE(count, 3u);
+  const auto patched = [&](size_t offset, const void* value) {
+    std::string file = bytes;
+    std::memcpy(file.data() + offset, value, 4);
+    return file;
+  };
+  const size_t last_scores = last + 8;
+  const size_t last_items = last_scores + count * 4;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  expect_rejected(patched(last_scores + 4, &nan), "NaN score");
+  expect_rejected(patched(last_scores, &inf), "infinite score");
+  float best;
+  std::memcpy(&best, bytes.data() + last_scores, 4);
+  const float above_best = best + 1.0f;
+  expect_rejected(patched(last_scores + 8, &above_best), "unsorted scores");
+  uint32_t first_item;
+  std::memcpy(&first_item, bytes.data() + last_items, 4);
+  expect_rejected(patched(last_items + 8, &first_item), "repeated item");
 }
 
 TEST_F(SidecarFixture, PrimeValidatesInput) {
@@ -220,6 +259,22 @@ TEST_F(SidecarFixture, PrimeValidatesInput) {
   // Out-of-catalog item id.
   EXPECT_FALSE(server.Prime(0, {static_cast<ItemId>(dataset_->num_items())},
                             {1.0f}));
+  // Lists that are not ranked best-first: non-finite scores, scores out
+  // of order, a tie out of item-id order, a repeated item (adjacent or
+  // not). None may be served verbatim or become a refresh cutoff.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_FALSE(server.Prime(0, {1, 2}, {0.9f, nan}));
+  EXPECT_FALSE(server.Prime(0, {1}, {nan}));
+  EXPECT_FALSE(server.Prime(0, {1, 2}, {inf, 0.5f}));
+  EXPECT_FALSE(server.Prime(0, {1, 2}, {0.5f, 0.9f}));
+  EXPECT_FALSE(server.Prime(0, {5, 2}, {0.5f, 0.5f}));
+  EXPECT_FALSE(server.Prime(0, {3, 3}, {0.9f, 0.5f}));
+  EXPECT_FALSE(server.Prime(0, {3, 1, 3}, {0.9f, 0.7f, 0.5f}));
+  EXPECT_EQ(server.stats().cached_users, 0u);
+  EXPECT_EQ(server.stats().primed, 0u);
+  // Ties ranked by ascending item id are a valid ranking.
+  EXPECT_TRUE(server.Prime(0, {2, 5}, {0.5f, 0.5f}));
   // Valid prime replaces an existing entry.
   EXPECT_TRUE(server.Prime(0, {3, 1}, {0.9f, 0.5f}));
   EXPECT_TRUE(server.Prime(0, {4}, {0.7f}));

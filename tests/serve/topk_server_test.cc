@@ -526,7 +526,8 @@ TEST(TopKServerInvalidation, SnapshotVsLiveDivergenceAfterTrainingEpoch) {
 /// "epoch" whose score changes are confined to exactly those ranges, so a
 /// tracker marking just their shards tells the truth. Shifts ride on top
 /// of the wrapped model's own batch kernels, keeping the bit-equality
-/// between ScoreItems (brute force) and ScoreItemRange (server sweep).
+/// between ScoreItems (brute force) and ScoreItemRangeMulti (server sweep
+/// and refresh).
 class ShardShiftScorer : public ItemScorer {
  public:
   ShardShiftScorer(const ItemScorer* base, float delta,
@@ -541,10 +542,12 @@ class ShardShiftScorer : public ItemScorer {
     base_->ScoreItems(u, items, out);
     for (size_t i = 0; i < items.size(); ++i) out[i] += Shift(items[i]);
   }
-  void ScoreItemRange(UserId u, ItemId begin, ItemId end,
-                      float* out) const override {
-    base_->ScoreItemRange(u, begin, end, out);
-    for (ItemId v = begin; v < end; ++v) out[v - begin] += Shift(v);
+  void ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
+                           ItemId end, float* const* out) const override {
+    base_->ScoreItemRangeMulti(users, begin, end, out);
+    for (size_t b = 0; b < users.size(); ++b) {
+      for (ItemId v = begin; v < end; ++v) out[b][v - begin] += Shift(v);
+    }
   }
   bool thread_safe() const override { return base_->thread_safe(); }
 
@@ -613,7 +616,7 @@ void ExpectIncrementalAbsorbMatchesColdSweep(Recommender* model,
       << model->name();
 
   // The reference is a full *cold sweep* of the new snapshot (a fresh
-  // server), which shares the refresh path's ScoreItemRange kernels —
+  // server), which shares the refresh path's ScoreItemRangeMulti kernels —
   // served rankings must be bit-identical to it whether the entry was
   // refreshed in place (cache hit) or dropped and re-swept (miss).
   TopKServer cold(&new_epoch, users, items, opts);
