@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
     {
       TopKServerOptions opts;
       opts.k = kTopK;
-      TopKServer warm_src(&model, kUsers, num_items, opts);
+      TopKServer warm_src(UnownedSnapshot(&model), kUsers, num_items, opts);
       for (UserId u = 0; u < 32; ++u) warm_src.TopK(u);
       if (!SaveTopKSidecar(warm_src, sidecar_path)) {
         std::fprintf(stderr, "cannot write sidecar\n");
@@ -172,7 +172,8 @@ int main(int argc, char** argv) {
         if (loaded == nullptr) return 1;
         TopKServerOptions opts;
         opts.k = kTopK;
-        TopKServer server(loaded.get(), kUsers, num_items, opts);
+        TopKServer server(UnownedSnapshot(loaded.get()), kUsers, num_items,
+                          opts);
         Timer query_timer;
         server.TopK(0);
         const double query_ms = query_timer.ElapsedMillis();
@@ -189,7 +190,8 @@ int main(int argc, char** argv) {
         if (mapped == nullptr) return 1;
         TopKServerOptions opts;
         opts.k = kTopK;
-        TopKServer server(mapped.get(), kUsers, num_items, opts);
+        TopKServer server(UnownedSnapshot(mapped.get()), kUsers, num_items,
+                          opts);
         Timer query_timer;
         server.TopK(0);
         const double query_ms = query_timer.ElapsedMillis();
@@ -208,7 +210,8 @@ int main(int argc, char** argv) {
         if (mapped == nullptr) return 1;
         TopKServerOptions opts;
         opts.k = kTopK;
-        TopKServer server(mapped.get(), kUsers, num_items, opts);
+        TopKServer server(UnownedSnapshot(mapped.get()), kUsers, num_items,
+                          opts);
         if (WarmFromSidecar(&server, sidecar_path) == 0) return 1;
         server.TopK(0);
         MinInto(&r.v3_warm_total_ms, rep == 0 && w == 0,
@@ -230,7 +233,8 @@ int main(int argc, char** argv) {
         TopKServerOptions opts;
         opts.k = kTopK;
         opts.ann.prebuilt = index;
-        TopKServer server(mapped.get(), kUsers, num_items, opts);
+        TopKServer server(UnownedSnapshot(mapped.get()), kUsers, num_items,
+                          opts);
         if (WarmFromSidecar(&server, sidecar_path) == 0) return 1;
         server.TopK(0);
         MinInto(&r.index_load_ms, rep == 0 && w == 0, index_ms);

@@ -229,7 +229,6 @@ int main(int argc, char** argv) {
   size_t mt_items = 0;
   std::vector<WireResult> wire_results;
   size_t wire_items = 0;
-  std::string wire_backend;
 
   for (const size_t num_items : catalog_sizes) {
     SyntheticConfig data_cfg;
@@ -261,7 +260,7 @@ int main(int argc, char** argv) {
     TopKServerOptions opts;
     opts.k = kTopK;
     opts.cache.max_users = kUsers;
-    TopKServer server(&model, kUsers, num_items, opts);
+    TopKServer server(UnownedSnapshot(&model), kUsers, num_items, opts);
 
     // Cold: each query is a distinct user → guaranteed cache miss. Best
     // of several bursts (disjoint user ranges, so every query stays a
@@ -354,7 +353,7 @@ int main(int argc, char** argv) {
         aopts.k = kTopK;
         aopts.cache.max_users = kUsers;
         aopts.ann.prebuilt = base->CloneWithNprobe(nprobe);
-        TopKServer aserver(&model, kUsers, num_items, aopts);
+        TopKServer aserver(UnownedSnapshot(&model), kUsers, num_items, aopts);
         p.nprobe = static_cast<const SphericalIvfIndex&>(*aopts.ann.prebuilt)
                        .nprobe();
         size_t hit = 0;
@@ -432,8 +431,10 @@ int main(int argc, char** argv) {
         bopts.k = kTopK;
         bopts.cache.max_users = 0;  // every query a guaranteed miss
         bopts.batch.max_batch = batch;
-        TopKServer solo_server(&bmodel, kUsers, num_items, bopts);
-        TopKServer batch_server(&bmodel, kUsers, num_items, bopts);
+        TopKServer solo_server(UnownedSnapshot(&bmodel), kUsers, num_items,
+                               bopts);
+        TopKServer batch_server(UnownedSnapshot(&bmodel), kUsers, num_items,
+                                bopts);
 
         // Batch ≡ solo on the measured path: the per-model equivalence is
         // pinned by the tests; this guards the bench wiring itself.
@@ -496,7 +497,7 @@ int main(int argc, char** argv) {
     // --- Incremental re-sweep: AbsorbWrites with 1/8 of the item shards
     // dirty against a warm cache, measured per refreshed entry. ----------
     {
-      TopKServer warm(&model, kUsers, num_items, opts);
+      TopKServer warm(UnownedSnapshot(&model), kUsers, num_items, opts);
       const size_t entries = fast ? 100 : 200;
       for (size_t u = 0; u < entries; ++u) {
         warm.TopK(static_cast<UserId>(u));
@@ -552,7 +553,8 @@ int main(int argc, char** argv) {
         TopKServerOptions mt_opts;
         mt_opts.k = kTopK;
         mt_opts.cache.max_users = 256;  // cold tail evicts constantly
-        TopKServer mt_server(&model, kUsers, num_items, mt_opts);
+        TopKServer mt_server(UnownedSnapshot(&model), kUsers, num_items,
+                             mt_opts);
         for (UserId u = 0; u < kHotSet; ++u) mt_server.TopK(u);  // pre-warm
 
         std::atomic<bool> stop{false};
@@ -638,20 +640,19 @@ int main(int argc, char** argv) {
       // starts from the identical pre-warmed cache state.
       const size_t kHotSet = 64;
       for (const size_t depth : {1ul, 8ul, 32ul}) {
-        TopKServer wire_topk(&model, kUsers, num_items, wopts);
+        TopKServer wire_topk(UnownedSnapshot(&model), kUsers, num_items, wopts);
         NetServerOptions nopts;
         NetServer net(&wire_topk, nopts);
         if (!net.Start()) {
           std::fprintf(stderr, "wire: NetServer failed to start\n");
           return 1;
         }
-        wire_backend = net.backend_name();
 
         // Wire ≡ in-process on the measured path (the acceptance
         // bit-identity is pinned by tests/net; this guards the bench
         // wiring itself).
         {
-          TopKServer solo(&model, kUsers, num_items, wopts);
+          TopKServer solo(UnownedSnapshot(&model), kUsers, num_items, wopts);
           NetClient probe;
           WireResponse got;
           if (!probe.Connect("127.0.0.1", net.port()) ||
@@ -716,10 +717,10 @@ int main(int argc, char** argv) {
             after_topk.batch_sweeps - before_topk.batch_sweeps;
         wire_results.push_back(wr);
         std::printf(
-            "             wire (%s) B=%-3zu %10.0f q/s   p50 %8.1f us   "
+            "             wire B=%-3zu %10.0f q/s   p50 %8.1f us   "
             "p99 %8.1f us   (%llu served, %llu multi-req batches)\n",
-            wire_backend.c_str(), depth, wr.qps, wr.p50_us, wr.p99_us,
-            wr.served, wr.wire_batches_multi);
+            depth, wr.qps, wr.p50_us, wr.p99_us, wr.served,
+            wr.wire_batches_multi);
         net.Stop();
       }
     }
@@ -781,10 +782,10 @@ int main(int argc, char** argv) {
     ropts.ann.prebuilt = std::move(built);
     TopKServerOptions mopts = ropts;
     mopts.ann.prebuilt = mapped;
-    TopKServer built_server(&rmodel, kRestartUsers, restart.num_items,
-                            ropts);
-    TopKServer mapped_server(&rmodel, kRestartUsers, restart.num_items,
-                             mopts);
+    TopKServer built_server(UnownedSnapshot(&rmodel), kRestartUsers,
+                            restart.num_items, ropts);
+    TopKServer mapped_server(UnownedSnapshot(&rmodel), kRestartUsers,
+                             restart.num_items, mopts);
     Timer fq_built;
     built_server.TopK(kProbeUser);
     restart.first_query_built_ms = fq_built.ElapsedMillis();
@@ -996,8 +997,8 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  ]},\n");
   std::fprintf(out,
                "  \"wire\": {\"num_items\": %zu, \"host_cpus\": %u, "
-               "\"backend\": \"%s\", \"results\": [\n",
-               wire_items, host_cpus, wire_backend.c_str());
+               "\"results\": [\n",
+               wire_items, host_cpus);
   for (size_t i = 0; i < wire_results.size(); ++i) {
     const WireResult& r = wire_results[i];
     std::fprintf(out,

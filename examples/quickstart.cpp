@@ -19,8 +19,8 @@
 //      several frontend threads query the same server — every response is
 //      then verified to match one of the published snapshots exactly,
 //   8. serve the same answers *over TCP*: a NetServer fronts the server
-//      with the MRSN wire protocol (docs/PROTOCOL.md) on an io_uring or
-//      epoll reactor, and a pipelined client burst — decoded in one
+//      with the MRSN wire protocol (docs/PROTOCOL.md) on an epoll
+//      reactor, and a pipelined client burst — decoded in one
 //      reactor wake-up, served as one TopKBatch — is verified
 //      bit-identical to the in-process API.
 #include <atomic>
@@ -110,8 +110,8 @@ int main(int argc, char** argv) {
   // per-epoch rebuild, persistence in step 6) is exercised end to end.
   serve_opts.ann.enable = true;
   serve_opts.ann.index.nprobe = 1u << 20;
-  TopKServer server(&model, dataset->num_users(), dataset->num_items(),
-                    serve_opts);
+  TopKServer server(UnownedSnapshot(&model), dataset->num_users(),
+                    dataset->num_items(), serve_opts);
   const TopKResponse recs = server.TopK(user);  // cold full-catalog sweep
   std::printf("top-10 items for user %u:", user);
   for (size_t i = 0; i < recs.items.size(); ++i) {
@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
   }
   TopKServerOptions restart_opts = serve_opts;
   restart_opts.ann.prebuilt = mapped_index;  // zero-rebuild restart
-  TopKServer restarted(mapped.get(), dataset->num_users(),
+  TopKServer restarted(UnownedSnapshot(mapped.get()), dataset->num_users(),
                        dataset->num_items(), restart_opts);
   const size_t warmed = WarmFromSidecar(&restarted, sidecar_path);
   std::remove(sidecar_path);
@@ -271,7 +271,7 @@ int main(int argc, char** argv) {
   //    reactor decodes them in one wake-up and serves them as one
   //    TopKBatch — the wire feeds the coalesced multi-user kernels with
   //    no artificial delay. k = 0 asks for the server's configured depth.
-  NetServerOptions net_opts;  // loopback, ephemeral port, auto backend
+  NetServerOptions net_opts;  // loopback, ephemeral port
   NetServer net(&live, net_opts);
   if (!net.Start()) {
     std::fprintf(stderr, "failed to start the TCP front-end\n");
@@ -296,8 +296,8 @@ int main(int argc, char** argv) {
   }
   client.Close();
   net.Stop();
-  std::printf("wire serving (%s reactor): %zu pipelined responses, %s\n",
-              net.backend_name().c_str(), over_wire.size(),
+  std::printf("wire serving: %zu pipelined responses, %s\n",
+              over_wire.size(),
               wire_ok ? "bit-identical to in-process TopK"
                       : "MISMATCH vs in-process TopK");
   if (!wire_ok) return 1;

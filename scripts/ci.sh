@@ -85,19 +85,17 @@ if [ -n "$SANITIZER" ]; then
   FILTER='ShardViewTest.*:ParallelTrainerTest.*:SnapshotFacetStoreTest.*'
   FILTER="$FILTER:WriteTrackerTest.*:TopKServer*:SnapshotHandle*"
   FILTER="$FILTER:ThreadPoolTest.*:SphericalIvfIndex*:VpTreeIndex*"
-  # The wire front-end: reactor thread vs Stop(), per-connection state
-  # machines, and the codec. The parameterized Net suites cover BOTH
-  # reactor backends — epoll always runs (io_uring variants skip, not
-  # pass, where the kernel refuses a ring), so the fallback path is
-  # exercised in CI regardless of io_uring support. Zero suppressions.
+  # The wire front-end: the epoll reactor thread vs Stop(), per-connection
+  # state machines, and the codec (NetServerTest.*, NetServer.*).
+  # Zero suppressions.
   FILTER="$FILTER:Protocol*:Net*:*NetServerTest*:RequestApi*"
   # The scenario harness: whole-stack traffic scenarios (trainer thread
   # publishing epochs, actor threads over loopback TCP, restart
   # teardown) with every invariant checker armed — publish_storm and
   # flash_crowd are the densest publish-vs-serve races in the repo.
   # Suite names are prefixed Scenario; the leading * also catches the
-  # parameterized instantiations (Catalog/..., Backends/...). Zero
-  # suppressions, like the rest of the serve/net layers.
+  # parameterized Catalog/... instantiations. Zero suppressions, like the
+  # rest of the serve/net layers.
   FILTER="$FILTER:*Scenario*"
   if [ "$SANITIZER" = address ]; then
     # mmap'd serving is a classic lifetime-bug nest (views into unmapped

@@ -5,13 +5,11 @@
 #include <vector>
 
 #include "common/kernels_detail.h"
-#include "common/vec.h"
 
 namespace mars {
 
 namespace {
 
-using kernels_detail::DotAndNormRowGeneric;
 using kernels_detail::DotRowGeneric;
 using kernels_detail::HasAvx2Fma;
 using kernels_detail::SquaredDistanceRowGeneric;
@@ -25,7 +23,6 @@ using kernels_detail::SquaredDistanceRowGeneric;
 
 #if MARS_KERNELS_HAVE_AVX2
 
-using kernels_detail::DotAndNormRowAvx2;
 using kernels_detail::DotRowAvx2;
 using kernels_detail::DotRowAvx2X4;
 using kernels_detail::SquaredDistanceRowAvx2;
@@ -63,17 +60,6 @@ MARS_AVX2_FN void SquaredDistanceGatherAvx2(const float* u, const float* base,
                                             float sign) {
   for (size_t r = 0; r < count; ++r) {
     out[r] = sign * SquaredDistanceRowAvx2(u, base + ids[r] * stride, n);
-  }
-}
-
-MARS_AVX2_FN void CosineBatchAvx2(const float* u, const float* rows,
-                                  size_t count, size_t stride, size_t n,
-                                  float inv_nu, float* out) {
-  for (size_t r = 0; r < count; ++r) {
-    float dot, nr2;
-    DotAndNormRowAvx2(u, rows + r * stride, n, &dot, &nr2);
-    const float nr = std::sqrt(nr2);
-    out[r] = nr < 1e-12f ? 0.0f : dot * inv_nu / nr;
   }
 }
 
@@ -389,28 +375,6 @@ void SquaredDistanceBatch(const float* u, const float* rows, size_t count,
 #endif
   for (size_t r = 0; r < count; ++r) {
     out[r] = SquaredDistanceRowGeneric(u, rows + r * stride, n);
-  }
-}
-
-void CosineBatch(const float* u, const float* rows, size_t count,
-                 size_t stride, size_t n, float* out) {
-  const float nu = Norm(u, n);
-  if (nu < 1e-12f) {
-    for (size_t r = 0; r < count; ++r) out[r] = 0.0f;
-    return;
-  }
-  const float inv_nu = 1.0f / nu;
-#if MARS_KERNELS_HAVE_AVX2
-  if (HasAvx2Fma()) {
-    CosineBatchAvx2(u, rows, count, stride, n, inv_nu, out);
-    return;
-  }
-#endif
-  for (size_t r = 0; r < count; ++r) {
-    float dot, nr2;
-    DotAndNormRowGeneric(u, rows + r * stride, n, &dot, &nr2);
-    const float nr = std::sqrt(nr2);
-    out[r] = nr < 1e-12f ? 0.0f : dot * inv_nu / nr;
   }
 }
 

@@ -31,11 +31,6 @@ void DotBatch(const float* u, const float* rows, size_t count, size_t stride,
 void SquaredDistanceBatch(const float* u, const float* rows, size_t count,
                           size_t stride, size_t n, float* out);
 
-/// out[i] = Cosine(u, row_i) for i in [0, count); 0 when either norm ~ 0.
-/// ||u|| is computed once, not per candidate.
-void CosineBatch(const float* u, const float* rows, size_t count,
-                 size_t stride, size_t n, float* out);
-
 /// Gather variants: candidate i lives at `base + ids[i] * stride`. These are
 /// the ScoreItems shapes — the evaluator hands models an arbitrary id list.
 void DotGather(const float* u, const float* base, size_t stride,

@@ -99,8 +99,8 @@ class SnapshotHandle {
 /// Wraps a raw pointer the caller guarantees outlives every reader into
 /// the shared_ptr shape SnapshotHandle hands out, without taking
 /// ownership (no control-block allocation; the aliasing constructor on an
-/// empty owner). This is the bridge for legacy call sites that still own
-/// their model by value or unique_ptr.
+/// empty owner). This is the bridge for call sites that own their model
+/// by value or unique_ptr.
 template <typename T>
 std::shared_ptr<const T> UnownedSnapshot(const T* ptr) {
   return std::shared_ptr<const T>(std::shared_ptr<const T>{}, ptr);

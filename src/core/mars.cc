@@ -320,18 +320,6 @@ void Mars::ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
     ublocks[b] = user_facets_.EntityBlock(users[b]);
     ws[b] = theta;
   }
-  if (kf == 1) {
-    // Single facet: rows sit on the unit sphere (the retraction normalizes
-    // every update), so the weighted dot *is* θ·r·cosine — score each user
-    // through CosineBatch, which amortizes ||u|| over the block and stays
-    // correct even if a row drifts off-unit.
-    for (size_t b = 0; b < users.size(); ++b) {
-      CosineBatch(ublocks[b], item_facets_.Row(begin, 0), count,
-                  item_facets_.entity_stride(), config_.dim, out[b]);
-      for (size_t i = 0; i < count; ++i) out[b][i] *= ws[b][0];
-    }
-    return;
-  }
   // One fused multi-user pass over the contiguous item store: each
   // candidate facet row is loaded once per user quad instead of once per
   // user.

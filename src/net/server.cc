@@ -44,9 +44,8 @@ NetServer::~NetServer() {
 bool NetServer::Start() {
   if (running_) return false;
 
-  reactor_ = Reactor::Create(options_.backend);
-  if (reactor_ == nullptr) return false;
-  backend_name_ = reactor_->name();
+  reactor_ = std::make_unique<Reactor>();
+  if (!reactor_->ok()) return false;
 
   listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) return false;

@@ -167,10 +167,6 @@ TopKServer::TopKServer(std::shared_ptr<const ItemScorer> model,
   }
 }
 
-TopKServer::TopKServer(const ItemScorer* model, size_t num_users,
-                       size_t num_items, TopKServerOptions options)
-    : TopKServer(UnownedSnapshot(model), num_users, num_items, options) {}
-
 size_t TopKServer::StripeOf(UserId u) const {
   return FacetStore::ShardOf(num_users_, u, stripes_.size());
 }
@@ -849,11 +845,6 @@ void TopKServer::ReplaceModel(std::shared_ptr<const ItemScorer> model) {
   // Swap of unknown delta: rebuild the index from scratch against the new
   // snapshot (PublishEpoch takes the cheaper tracker-guided path instead).
   RefreshAnnIndex(model_.Acquire(), nullptr);
-}
-
-void TopKServer::ReplaceModel(const ItemScorer* model) {
-  MARS_CHECK(model != nullptr);
-  ReplaceModel(UnownedSnapshot(model));
 }
 
 void TopKServer::PublishEpoch(std::shared_ptr<const ItemScorer> model,

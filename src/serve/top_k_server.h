@@ -244,11 +244,6 @@ class TopKServer {
   TopKServer(std::shared_ptr<const ItemScorer> model, size_t num_users,
              size_t num_items, TopKServerOptions options = {});
 
-  /// Legacy non-owning form: `model` must outlive the server and every
-  /// in-flight query (callers that own the model by value or unique_ptr).
-  TopKServer(const ItemScorer* model, size_t num_users, size_t num_items,
-             TopKServerOptions options = {});
-
   size_t num_users() const { return num_users_; }
   size_t num_items() const { return num_items_; }
   size_t num_item_shards() const { return item_shards_; }
@@ -303,8 +298,6 @@ class TopKServer {
   /// AbsorbWrites (after, not before), which knows what actually changed,
   /// or call InvalidateAll for a swap of unknown delta.
   void ReplaceModel(std::shared_ptr<const ItemScorer> model);
-  /// Non-owning overload (see the legacy constructor's lifetime note).
-  void ReplaceModel(const ItemScorer* model);
 
   /// Consumes the tracker's dirty flags (and clears them): entries of
   /// users in dirtied user shards are dropped; surviving entries are

@@ -63,46 +63,10 @@ TEST_P(BatchKernelShapes, SquaredDistanceBatchMatchesPerRow) {
   }
 }
 
-TEST_P(BatchKernelShapes, CosineBatchMatchesPerRow) {
-  const auto [n, count] = GetParam();
-  const size_t stride = n;
-  Rng rng(3);
-  const auto u = RandomVec(&rng, n);
-  const auto block = RandomBlock(&rng, count, stride, n);
-  std::vector<float> got(count);
-  CosineBatch(u.data(), block.data(), count, stride, n, got.data());
-  for (size_t r = 0; r < count; ++r) {
-    EXPECT_NEAR(got[r], Cosine(u.data(), block.data() + r * stride, n),
-                1e-5f);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Shapes, BatchKernelShapes,
     ::testing::Combine(::testing::Values<size_t>(1, 4, 7, 32, 129),
                        ::testing::Values<size_t>(1, 2, 5, 8, 19, 37, 64)));
-
-TEST(KernelsTest, CosineBatchZeroUserIsZero) {
-  std::vector<float> u(8, 0.0f);
-  Rng rng(4);
-  const auto block = RandomBlock(&rng, 3, 8, 8);
-  std::vector<float> got(3, 9.0f);
-  CosineBatch(u.data(), block.data(), 3, 8, 8, got.data());
-  for (float g : got) EXPECT_FLOAT_EQ(g, 0.0f);
-}
-
-TEST(KernelsTest, CosineBatchZeroRowIsZero) {
-  Rng rng(5);
-  const auto u = RandomVec(&rng, 8);
-  std::vector<float> block(2 * 8, 0.0f);
-  for (size_t i = 0; i < 8; ++i) {
-    block[8 + i] = static_cast<float>(rng.Normal());
-  }
-  std::vector<float> got(2);
-  CosineBatch(u.data(), block.data(), 2, 8, 8, got.data());
-  EXPECT_FLOAT_EQ(got[0], 0.0f);
-  EXPECT_NEAR(got[1], Cosine(u.data(), block.data() + 8, 8), 1e-5f);
-}
 
 TEST(KernelsTest, DotGatherMatchesPerRow) {
   const size_t n = 24, stride = 32, rows = 50;

@@ -1,6 +1,4 @@
-// Wire-to-wire serving tests, parameterized over both reactor backends
-// (epoll always; io_uring skipped — not silently passed — where the
-// kernel refuses a ring). The contracts under test:
+// Wire-to-wire serving tests. The contracts under test:
 //
 //  * Bit-identity: a TCP round-trip returns exactly the bytes the
 //    in-process TopK produces for the same user/epoch — items, float
@@ -13,9 +11,17 @@
 //    trust split — error frame + close for stream-level violations,
 //    error frame + live connection for frame-level ones — and a
 //    byte-at-a-time sender is reassembled correctly.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -26,7 +32,6 @@
 #include "eval/scorer.h"
 #include "net/client.h"
 #include "net/protocol.h"
-#include "net/reactor.h"
 #include "net/server.h"
 #include "serve/top_k_server.h"
 
@@ -49,41 +54,16 @@ TopKServerOptions ServeOptions(size_t k = 8) {
   return opts;
 }
 
-class NetServerTest : public ::testing::TestWithParam<NetBackend> {
- protected:
-  void SetUp() override {
-    if (GetParam() == NetBackend::kIoUring && !IoUringAvailable()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
-  }
-
-  NetServerOptions NetOptions() {
-    NetServerOptions opts;
-    opts.backend = GetParam();
-    return opts;
-  }
-};
-
-std::string BackendName(
-    const ::testing::TestParamInfo<NetBackend>& info) {
-  return info.param == NetBackend::kIoUring ? "IoUring" : "Epoll";
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, NetServerTest,
-                         ::testing::Values(NetBackend::kEpoll,
-                                           NetBackend::kIoUring),
-                         BackendName);
-
-TEST_P(NetServerTest, RoundTripIsBitIdenticalToInProcess) {
+TEST(NetServerTest, RoundTripIsBitIdenticalToInProcess) {
   ToyScorer scorer;
-  TopKServer wire_side(&scorer, kUsers, kItems, ServeOptions());
-  TopKServer in_process(&scorer, kUsers, kItems, ServeOptions());
+  TopKServer wire_side(UnownedSnapshot(&scorer), kUsers, kItems,
+                       ServeOptions());
+  TopKServer in_process(UnownedSnapshot(&scorer), kUsers, kItems,
+                        ServeOptions());
 
-  NetServer server(&wire_side, NetOptions());
+  NetServer server(&wire_side, NetServerOptions{});
   ASSERT_TRUE(server.Start());
   ASSERT_NE(server.port(), 0);
-  EXPECT_EQ(server.backend_name(),
-            GetParam() == NetBackend::kIoUring ? "io_uring" : "epoll");
 
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
@@ -106,10 +86,10 @@ TEST_P(NetServerTest, RoundTripIsBitIdenticalToInProcess) {
   server.Stop();
 }
 
-TEST_P(NetServerTest, RequestRejectionsTravelAsResponses) {
+TEST(NetServerTest, RequestRejectionsTravelAsResponses) {
   ToyScorer scorer;
-  TopKServer top_k(&scorer, kUsers, kItems, ServeOptions(8));
-  NetServer server(&top_k, NetOptions());
+  TopKServer top_k(UnownedSnapshot(&scorer), kUsers, kItems, ServeOptions(8));
+  NetServer server(&top_k, NetServerOptions{});
   ASSERT_TRUE(server.Start());
 
   NetClient client;
@@ -136,11 +116,11 @@ TEST_P(NetServerTest, RequestRejectionsTravelAsResponses) {
   EXPECT_FALSE(ok.response.items.empty());
 }
 
-TEST_P(NetServerTest, PipelinedBurstEntersOneTopKBatchSweep) {
+TEST(NetServerTest, PipelinedBurstEntersOneTopKBatchSweep) {
   ToyScorer scorer;
-  TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
-  TopKServer solo(&scorer, kUsers, kItems, ServeOptions());
-  NetServer server(&top_k, NetOptions());
+  TopKServer top_k(UnownedSnapshot(&scorer), kUsers, kItems, ServeOptions());
+  TopKServer solo(UnownedSnapshot(&scorer), kUsers, kItems, ServeOptions());
+  NetServer server(&top_k, NetServerOptions{});
   ASSERT_TRUE(server.Start());
 
   NetClient client;
@@ -170,10 +150,10 @@ TEST_P(NetServerTest, PipelinedBurstEntersOneTopKBatchSweep) {
   EXPECT_EQ(server.stats().requests_served, burst.size());
 }
 
-TEST_P(NetServerTest, StreamViolationsGetOneErrorFrameThenClose) {
+TEST(NetServerTest, StreamViolationsGetOneErrorFrameThenClose) {
   ToyScorer scorer;
-  TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
-  NetServer server(&top_k, NetOptions());
+  TopKServer top_k(UnownedSnapshot(&scorer), kUsers, kItems, ServeOptions());
+  NetServer server(&top_k, NetServerOptions{});
   ASSERT_TRUE(server.Start());
 
   struct Case {
@@ -229,10 +209,10 @@ TEST_P(NetServerTest, StreamViolationsGetOneErrorFrameThenClose) {
   EXPECT_GE(server.stats().protocol_errors, cases.size());
 }
 
-TEST_P(NetServerTest, FrameViolationsKeepTheConnection) {
+TEST(NetServerTest, FrameViolationsKeepTheConnection) {
   ToyScorer scorer;
-  TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
-  NetServer server(&top_k, NetOptions());
+  TopKServer top_k(UnownedSnapshot(&scorer), kUsers, kItems, ServeOptions());
+  NetServer server(&top_k, NetServerOptions{});
   ASSERT_TRUE(server.Start());
 
   NetClient client;
@@ -267,11 +247,11 @@ TEST_P(NetServerTest, FrameViolationsKeepTheConnection) {
   EXPECT_FALSE(ok.response.items.empty());
 }
 
-TEST_P(NetServerTest, OneByteWritesReassembleIntoOneRequest) {
+TEST(NetServerTest, OneByteWritesReassembleIntoOneRequest) {
   ToyScorer scorer;
-  TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
-  TopKServer solo(&scorer, kUsers, kItems, ServeOptions());
-  NetServer server(&top_k, NetOptions());
+  TopKServer top_k(UnownedSnapshot(&scorer), kUsers, kItems, ServeOptions());
+  TopKServer solo(UnownedSnapshot(&scorer), kUsers, kItems, ServeOptions());
+  NetServer server(&top_k, NetServerOptions{});
   ASSERT_TRUE(server.Start());
 
   NetClient client;
@@ -296,9 +276,9 @@ TEST_P(NetServerTest, OneByteWritesReassembleIntoOneRequest) {
   EXPECT_EQ(got.response.scores, want.scores);
 }
 
-TEST_P(NetServerTest, OwningConstructorBuildsTheServeLayer) {
+TEST(NetServerTest, OwningConstructorBuildsTheServeLayer) {
   auto scorer = std::make_shared<ToyScorer>();
-  NetServerOptions opts = NetOptions();
+  NetServerOptions opts;
   opts.serve.k = 5;
   NetServer server(scorer, kUsers, kItems, opts);
   ASSERT_TRUE(server.Start());
@@ -312,19 +292,19 @@ TEST_P(NetServerTest, OwningConstructorBuildsTheServeLayer) {
   EXPECT_EQ(got.response.items, server.top_k().TopK(3).items);
 }
 
-TEST_P(NetServerTest, StopIsIdempotentAndJoinsTheLoop) {
+TEST(NetServerTest, StopIsIdempotentAndJoinsTheLoop) {
   ToyScorer scorer;
-  TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
-  NetServer server(&top_k, NetOptions());
+  TopKServer top_k(UnownedSnapshot(&scorer), kUsers, kItems, ServeOptions());
+  NetServer server(&top_k, NetServerOptions{});
   ASSERT_TRUE(server.Start());
   server.Stop();
   server.Stop();  // second stop is a no-op, not a crash/hang
 }
 
-TEST_P(NetServerTest, BackpressureShedsUndrainedConnection) {
+TEST(NetServerTest, BackpressureShedsUndrainedConnection) {
   ToyScorer scorer;
-  TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
-  NetServerOptions opts = NetOptions();
+  TopKServer top_k(UnownedSnapshot(&scorer), kUsers, kItems, ServeOptions());
+  NetServerOptions opts;
   // Tiny budgets so an undrained client trips the cap with test-sized
   // traffic: shrink the kernel's send buffer (inherited from the
   // listener) and bound the userspace response queue.
@@ -370,10 +350,10 @@ TEST_P(NetServerTest, BackpressureShedsUndrainedConnection) {
   server.Stop();
 }
 
-TEST_P(NetServerTest, UnboundedQueueNeverSheds) {
+TEST(NetServerTest, UnboundedQueueNeverSheds) {
   ToyScorer scorer;
-  TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
-  NetServerOptions opts = NetOptions();
+  TopKServer top_k(UnownedSnapshot(&scorer), kUsers, kItems, ServeOptions());
+  NetServerOptions opts;
   opts.max_queued_response_bytes = 0;  // documented opt-out
   opts.sndbuf_bytes = 4096;
   NetServer server(&top_k, opts);
@@ -405,16 +385,41 @@ TEST_P(NetServerTest, UnboundedQueueNeverSheds) {
   server.Stop();
 }
 
-TEST(NetReactor, ExplicitIoUringRequestFailsCleanlyWhenUnsupported) {
-  if (IoUringAvailable()) {
-    GTEST_SKIP() << "kernel supports io_uring; nothing to refuse";
-  }
+std::ptrdiff_t OpenFdCount() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                       std::filesystem::directory_iterator{});
+}
+
+TEST(NetServer, StartFailsCleanlyOnBusyPort) {
+  // Hold a listening socket so the server's bind fails with EADDRINUSE
+  // (no SO_REUSEADDR on the holder: Linux refuses a second bind to a
+  // port with a socket in LISTEN state either way).
+  const int holder = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(holder, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = 0;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(bind(holder, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(listen(holder, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(getsockname(holder, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+
   ToyScorer scorer;
-  TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
-  NetServerOptions opts;
-  opts.backend = NetBackend::kIoUring;
-  NetServer server(&top_k, opts);
-  EXPECT_FALSE(server.Start());
+  TopKServer top_k(UnownedSnapshot(&scorer), kUsers, kItems,
+                   ServeOptions());
+  const std::ptrdiff_t fds_before = OpenFdCount();
+  {
+    NetServerOptions opts;
+    opts.port = ntohs(addr.sin_port);
+    NetServer server(&top_k, opts);
+    EXPECT_FALSE(server.Start());
+    server.Stop();  // nothing running: returns at once
+  }  // destructor closes whatever the failed Start opened
+  EXPECT_LE(OpenFdCount(), fds_before);
+  close(holder);
 }
 
 }  // namespace

@@ -96,7 +96,8 @@ void ExpectAnnServerMatchesBruteForce(Recommender* model,
   opts.k = k;
   opts.ann.enable = true;
   opts.ann.index.nprobe = kFullProbe;
-  TopKServer server(model, data.num_users(), data.num_items(), opts);
+  TopKServer server(UnownedSnapshot(model), data.num_users(), data.num_items(),
+                    opts);
   EXPECT_EQ(model->index_geometry() != IndexGeometry::kNone, expect_probed)
       << model->name();
   for (UserId u = 0; u < probe_users; ++u) {
@@ -149,9 +150,6 @@ TEST(TopKServerAnnEquivalence, MarsSingleFacet) {
   cfg.theta_init_nmf = false;
   Mars model(cfg);
   model.Fit(*data, QuickTrain());
-  // Unlike the exact-sweep K=1 cosine path, the ANN re-rank scores
-  // through ScoreItems — bit-identical to the brute-force oracle, no
-  // tolerance needed.
   ExpectAnnServerMatchesBruteForce(&model, *data, /*expect_probed=*/true);
 }
 
@@ -234,7 +232,8 @@ TEST(TopKServerAnnTest, VpTreeServesExactlyAtDefaultsWithExclusions) {
   opts.k = 9;
   opts.ann.enable = true;
   opts.exclude_interactions = data.get();
-  TopKServer server(&model, data->num_users(), data->num_items(), opts);
+  TopKServer server(UnownedSnapshot(&model), data->num_users(),
+                    data->num_items(), opts);
   for (UserId u = 0; u < 16; ++u) {
     const auto [want_items, want_scores] =
         BruteForceTopK(model, u, data->num_items(), 9, data.get());
@@ -255,7 +254,8 @@ TEST(TopKServerAnnTest, IvfFullProbeRespectsExclusions) {
   opts.ann.enable = true;
   opts.ann.index.nprobe = kFullProbe;
   opts.exclude_interactions = data.get();
-  TopKServer server(&model, data->num_users(), data->num_items(), opts);
+  TopKServer server(UnownedSnapshot(&model), data->num_users(),
+                    data->num_items(), opts);
   for (UserId u = 0; u < 16; ++u) {
     const auto [want_items, want_scores] =
         BruteForceTopK(model, u, data->num_items(), 9, data.get());
@@ -298,7 +298,8 @@ TEST(TopKServerAnnTest, DefaultNprobeRecallFloorOnLargerCatalog) {
   TopKServerOptions opts;
   opts.k = k;
   opts.ann.enable = true;
-  TopKServer server(&model, data->num_users(), data->num_items(), opts);
+  TopKServer server(UnownedSnapshot(&model), data->num_users(),
+                    data->num_items(), opts);
   size_t hit = 0;
   for (UserId u = 0; u < probe_users; ++u) {
     const auto [want_items, want_scores] =
@@ -338,7 +339,8 @@ TEST(TopKServerAnnTest, InjectedIndexImpliesAnnServing) {
   TopKServerOptions opts;
   opts.k = 7;
   opts.ann.prebuilt = base->CloneWithNprobe(base->num_centroids());
-  TopKServer server(&model, data->num_users(), data->num_items(), opts);
+  TopKServer server(UnownedSnapshot(&model), data->num_users(),
+                    data->num_items(), opts);
   for (UserId u = 0; u < 8; ++u) {
     const auto [want_items, want_scores] =
         BruteForceTopK(model, u, data->num_items(), 7);
@@ -359,7 +361,8 @@ TEST(TopKServerAnnTest, AnnMissesFillTheCache) {
   opts.k = 7;
   opts.ann.enable = true;
   opts.ann.index.nprobe = kFullProbe;
-  TopKServer server(&model, data->num_users(), data->num_items(), opts);
+  TopKServer server(UnownedSnapshot(&model), data->num_users(),
+                    data->num_items(), opts);
   const TopKResponse miss = server.TopK(5);
   EXPECT_FALSE(miss.from_cache);
   const TopKResponse hit = server.TopK(5);
@@ -434,12 +437,13 @@ TEST(TopKServerAnnTest, ParallelAnnSweepMatchesSerial) {
   par.k = 9;
   par.ann.enable = true;
   par.pool = &pool;  // parallel index build, same served answers
-  TopKServer parallel_server(&model, data->num_users(), data->num_items(),
-                             par);
+  TopKServer parallel_server(UnownedSnapshot(&model), data->num_users(),
+                             data->num_items(), par);
   TopKServerOptions ser;
   ser.k = 9;
   ser.ann.enable = true;
-  TopKServer serial_server(&model, data->num_users(), data->num_items(), ser);
+  TopKServer serial_server(UnownedSnapshot(&model), data->num_users(),
+                           data->num_items(), ser);
   for (UserId u = 0; u < 10; ++u) {
     const TopKResponse a = parallel_server.TopK(u);
     const TopKResponse b = serial_server.TopK(u);

@@ -93,8 +93,10 @@ TopKResponse BruteForceTopK(const ItemScorer& model, UserId u,
 void ExpectBatchMatchesSolo(Recommender* model, const ImplicitDataset& data,
                             TopKServerOptions opts,
                             bool exact_reference = true) {
-  TopKServer batch_server(model, data.num_users(), data.num_items(), opts);
-  TopKServer solo_server(model, data.num_users(), data.num_items(), opts);
+  TopKServer batch_server(UnownedSnapshot(model), data.num_users(),
+                          data.num_items(), opts);
+  TopKServer solo_server(UnownedSnapshot(model), data.num_users(),
+                         data.num_items(), opts);
 
   const std::vector<UserId> users = {3, 0, 5, 0, 7, 1, 2, 6, 4, 3};
   const std::vector<TopKResponse> got = batch_server.TopKBatch(users);
@@ -146,7 +148,7 @@ TEST(TopKServerBatchEquivalence, Mars) {
   ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
 }
 
-TEST(TopKServerBatchEquivalence, MarsSingleFacetCosinePath) {
+TEST(TopKServerBatchEquivalence, MarsSingleFacet) {
   const auto data = SmallDataset();
   MultiFacetConfig cfg;
   cfg.dim = 16;
@@ -154,12 +156,7 @@ TEST(TopKServerBatchEquivalence, MarsSingleFacetCosinePath) {
   cfg.theta_init_nmf = false;
   Mars model(cfg);
   model.Fit(*data, QuickTrain());
-  // K = 1 keeps the CosineBatch sweep per user on both sides, so batch
-  // and solo stay bit-equal to each other. The gather path scores the
-  // weighted dot instead, so the ScoreItems brute force agrees only to a
-  // tolerance (the solo suite's concern) and is not pinned here.
-  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data),
-                         /*exact_reference=*/false);
+  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
 }
 
 TEST(TopKServerBatchEquivalence, MarFree) {
@@ -282,7 +279,8 @@ TEST(TopKServerBatchEquivalence, MultiBlockCatalogMatchesBruteForce) {
   opts.sweep_shards = 3;
   for (const std::vector<UserId>& batch :
        {std::vector<UserId>{3}, std::vector<UserId>{3, 0, 5, 7, 1}}) {
-    TopKServer server(&model, data->num_users(), data->num_items(), opts);
+    TopKServer server(UnownedSnapshot(&model), data->num_users(),
+                      data->num_items(), opts);
     const std::vector<TopKResponse> got = server.TopKBatch(batch);
     ASSERT_EQ(got.size(), batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -309,7 +307,7 @@ TEST(TopKServerBatchStats, BatchSweepCountersTrackSizes) {
   ToyScorer scorer;
   TopKServerOptions opts;
   opts.k = 4;
-  TopKServer server(&scorer, 40, 60, opts);
+  TopKServer server(UnownedSnapshot(&scorer), 40, 60, opts);
 
   // 8 distinct cold users: one multi-user sweep of all 8.
   server.TopKBatch(std::vector<UserId>{0, 1, 2, 3, 4, 5, 6, 7});
@@ -340,7 +338,7 @@ TEST(TopKServerBatchStats, OversizedBatchSplitsAtTheCoalescerCap) {
   TopKServerOptions opts;
   opts.k = 4;
   opts.batch.max_batch = 4;
-  TopKServer server(&scorer, 40, 60, opts);
+  TopKServer server(UnownedSnapshot(&scorer), 40, 60, opts);
   // 10 distinct misses under a cap of 4 sweep as groups of 4 + 4 + 2.
   server.TopKBatch(std::vector<UserId>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
   const TopKServerStats stats = server.stats();
@@ -354,7 +352,7 @@ TEST(TopKServerBatchStats, EmptyAndSingletonBatches) {
   ToyScorer scorer;
   TopKServerOptions opts;
   opts.k = 4;
-  TopKServer server(&scorer, 40, 60, opts);
+  TopKServer server(UnownedSnapshot(&scorer), 40, 60, opts);
   EXPECT_TRUE(server.TopKBatch(std::span<const UserId>{}).empty());
   const auto one = server.TopKBatch(std::vector<UserId>{5});
   ASSERT_EQ(one.size(), 1u);
@@ -481,7 +479,7 @@ TEST(TopKServerCoalesceTest, ConcurrentSameUserMissesShareOneSweep) {
   opts.k = kK;
   opts.cache.max_users = 0;
   opts.batch.max_batch = kThreads;
-  TopKServer server(&scorer, kUsers, kItems, opts);
+  TopKServer server(UnownedSnapshot(&scorer), kUsers, kItems, opts);
 
   const UserId u = 2;
   std::atomic<size_t> wrong{0};
@@ -514,7 +512,7 @@ TEST(TopKServerCoalesceTest, PoolWorkersBypassTheCoalescer) {
   opts.k = kK;
   opts.cache.max_users = 0;
   opts.pool = &pool;
-  TopKServer server(&scorer, kUsers, kItems, opts);
+  TopKServer server(UnownedSnapshot(&scorer), kUsers, kItems, opts);
 
   std::atomic<size_t> wrong{0};
   pool.RunBatch(kUsers, [&](size_t i) {

@@ -85,7 +85,7 @@ TEST(SnapshotHandleServeTest, ConcurrentQueriesMatchSingleThreaded) {
   opts.k = kK;
   opts.cache.max_users = 16;  // far below kUsers → constant eviction
   opts.cache.stripes = 4;
-  TopKServer server(&scorer, kUsers, kItems, opts);
+  TopKServer server(UnownedSnapshot(&scorer), kUsers, kItems, opts);
 
   const size_t kThreads = 4, kQueriesPerThread = 400;
   std::atomic<size_t> wrong{0};
@@ -126,7 +126,7 @@ TEST(SnapshotHandleServeTest, EvictionChurnUnderConcurrentQueriesStaysExact) {
   opts.cache.max_users = 6;
   opts.cache.stripes = 3;
   opts.pool = &sweep_pool;
-  TopKServer server(&scorer, kUsers, kItems, opts);
+  TopKServer server(UnownedSnapshot(&scorer), kUsers, kItems, opts);
 
   const size_t kThreads = 4, kQueriesPerThread = 150;
   std::atomic<size_t> wrong{0};
@@ -491,7 +491,7 @@ TEST(SnapshotHandleServeTest, NonThreadSafeModelSerializesSweepsAndRefreshes) {
   opts.cache.max_users = 8;  // eviction churn → steady stream of sweeps
   opts.cache.stripes = 2;
   opts.cache.item_shards = kShards;
-  TopKServer server(&scorer, kUsers, kItems, opts);
+  TopKServer server(UnownedSnapshot(&scorer), kUsers, kItems, opts);
   WriteTracker tracker(kUsers, kItems, kShards);
 
   std::atomic<bool> done{false};

@@ -27,7 +27,8 @@ class ToyScorer : public ItemScorer {
 TopKServer MakeServer(const ToyScorer* scorer, size_t k = 8) {
   TopKServerOptions opts;
   opts.k = k;
-  return TopKServer(scorer, /*num_users=*/40, /*num_items=*/120, opts);
+  return TopKServer(UnownedSnapshot(scorer), /*num_users=*/40,
+                    /*num_items=*/120, opts);
 }
 
 TEST(RequestApi, RequestFormMatchesCompatOverloadBitwise) {

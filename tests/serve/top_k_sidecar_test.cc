@@ -52,7 +52,7 @@ struct SidecarFixture : public ::testing::Test {
     // recency-order assertions below depend on it; striped servers only
     // order within each stripe).
     opts.cache.stripes = 1;
-    return TopKServer(model_.get(), dataset_->num_users(),
+    return TopKServer(UnownedSnapshot(model_.get()), dataset_->num_users(),
                       dataset_->num_items(), opts);
   }
 
@@ -97,8 +97,8 @@ TEST_F(SidecarFixture, WarmStartPreservesLruOrder) {
   opts.k = 10;
   opts.cache.max_users = 2;
   opts.cache.stripes = 1;
-  TopKServer tiny(model_.get(), dataset_->num_users(), dataset_->num_items(),
-                  opts);
+  TopKServer tiny(UnownedSnapshot(model_.get()), dataset_->num_users(),
+                  dataset_->num_items(), opts);
   WarmFromSidecar(&tiny, path_);
   EXPECT_EQ(tiny.stats().cached_users, 2u);
   EXPECT_TRUE(tiny.TopK(2).from_cache);
@@ -120,7 +120,7 @@ TEST_F(SidecarFixture, WarmedServerServesAMappedSnapshot) {
   ASSERT_NE(mapped, nullptr);
   TopKServerOptions opts;
   opts.k = 10;
-  TopKServer server(mapped.get(), dataset_->num_users(),
+  TopKServer server(UnownedSnapshot(mapped.get()), dataset_->num_users(),
                     dataset_->num_items(), opts);
   EXPECT_EQ(WarmFromSidecar(&server, path_), 8u);
   for (UserId u = 0; u < 8; ++u) {
@@ -152,14 +152,14 @@ TEST_F(SidecarFixture, RejectsShapeMismatch) {
   // Different k.
   TopKServerOptions opts;
   opts.k = 5;
-  TopKServer other_k(model_.get(), dataset_->num_users(),
+  TopKServer other_k(UnownedSnapshot(model_.get()), dataset_->num_users(),
                      dataset_->num_items(), opts);
   EXPECT_EQ(WarmFromSidecar(&other_k, path_), 0u);
 
   // Different catalog.
   TopKServerOptions opts10;
   opts10.k = 10;
-  TopKServer other_catalog(model_.get(), dataset_->num_users(),
+  TopKServer other_catalog(UnownedSnapshot(model_.get()), dataset_->num_users(),
                            dataset_->num_items() - 1, opts10);
   EXPECT_EQ(WarmFromSidecar(&other_catalog, path_), 0u);
 }
