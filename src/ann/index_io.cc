@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "ann/ivf_index.h"
-#include "ann/vp_tree_index.h"
 #include "common/binary_io.h"
 #include "common/check.h"
 #include "common/logging.h"
@@ -23,8 +22,9 @@ namespace {
 // snapshot and "MRSK" sidecar magics.
 constexpr uint32_t kIndexMagic = 0x4953524Du;
 constexpr uint32_t kIndexVersion = 1;
+// The one index kind. Kind 2 (a VP-tree for L2 models) is retired: the
+// loader rejects it as unknown, like any other kind value.
 constexpr uint32_t kKindSphericalIvf = 1;
-constexpr uint32_t kKindVpTree = 2;
 // Fixed header: 72 bytes of fields + a 4-slot region table (24 bytes
 // each), zero-padded to 192 — a 64-byte multiple, so the first region
 // starts cache-line aligned in the file and (mmap being page-aligned)
@@ -48,9 +48,7 @@ struct IndexLayout {
   uint32_t kind = 0;
   uint64_t num_items = 0;
   uint64_t dim = 0;
-  // kind-specific build parameters:
-  //   spherical_ivf: {num_centroids, nprobe, 0}
-  //   vp_tree:       {leaf_size, parallel_depth, seed}
+  // build parameters: {num_centroids, nprobe, 0}
   uint64_t params[3] = {0, 0, 0};
   size_t num_regions = 0;
   uint64_t region_offset[kMaxRegions] = {0, 0, 0, 0};
@@ -58,26 +56,18 @@ struct IndexLayout {
   uint64_t file_bytes = 0;
 };
 
-/// Region payload sizes per kind, in declaration order:
-///   spherical_ivf: centroids f32 | assign u32 | offsets u32 | lists u32
-///   vp_tree:       vectors f32   | ids u32    | radii f32
+/// Region payload sizes, in declaration order:
+///   centroids f32 | assign u32 | offsets u32 | lists u32
 /// Fills offsets (64B-aligned tiling after the header) and file_bytes.
 /// Geometry must already be plausibility-bounded: with num_items ≤ 2³¹
 /// and dim ≤ 65536 no product here can overflow u64.
 void ComputeRegions(IndexLayout* l) {
-  if (l->kind == kKindSphericalIvf) {
-    const uint64_t ncent = l->params[0];
-    l->num_regions = 4;
-    l->region_bytes[0] = ncent * l->dim * sizeof(float);
-    l->region_bytes[1] = l->num_items * sizeof(uint32_t);
-    l->region_bytes[2] = (ncent + 1) * sizeof(uint32_t);
-    l->region_bytes[3] = l->num_items * sizeof(uint32_t);
-  } else {
-    l->num_regions = 3;
-    l->region_bytes[0] = l->num_items * l->dim * sizeof(float);
-    l->region_bytes[1] = l->num_items * sizeof(uint32_t);
-    l->region_bytes[2] = l->num_items * sizeof(float);
-  }
+  const uint64_t ncent = l->params[0];
+  l->num_regions = 4;
+  l->region_bytes[0] = ncent * l->dim * sizeof(float);
+  l->region_bytes[1] = l->num_items * sizeof(uint32_t);
+  l->region_bytes[2] = (ncent + 1) * sizeof(uint32_t);
+  l->region_bytes[3] = l->num_items * sizeof(uint32_t);
   uint64_t at = kIndexHeaderBytes;
   for (size_t r = 0; r < l->num_regions; ++r) {
     l->region_offset[r] = at;
@@ -90,7 +80,7 @@ void ComputeRegions(IndexLayout* l) {
 
 /// Bounds every header-derived extent before any size computation is
 /// trusted (the v3 ShapePlausible discipline): 1 ≤ items ≤ 2³¹,
-/// 1 ≤ dim ≤ 65536, and the kind-specific parameters in sane ranges.
+/// 1 ≤ dim ≤ 65536, a known kind, and the IVF parameters in sane ranges.
 bool LayoutPlausible(const IndexLayout& l, const char* who) {
   constexpr uint64_t kMaxItems = 1ull << 31;
   if (l.num_items == 0 || l.num_items > kMaxItems || l.dim == 0 ||
@@ -98,20 +88,13 @@ bool LayoutPlausible(const IndexLayout& l, const char* who) {
     MARS_LOG(ERROR) << who << ": implausible geometry";
     return false;
   }
-  if (l.kind == kKindSphericalIvf) {
-    const uint64_t ncent = l.params[0], nprobe = l.params[1];
-    if (ncent == 0 || ncent > l.num_items || nprobe == 0 || nprobe > ncent) {
-      MARS_LOG(ERROR) << who << ": implausible IVF parameters";
-      return false;
-    }
-  } else if (l.kind == kKindVpTree) {
-    const uint64_t leaf = l.params[0], depth = l.params[1];
-    if (leaf == 0 || leaf > kMaxItems || depth > 64) {
-      MARS_LOG(ERROR) << who << ": implausible VP-tree parameters";
-      return false;
-    }
-  } else {
+  if (l.kind != kKindSphericalIvf) {
     MARS_LOG(ERROR) << who << ": unknown index kind " << l.kind;
+    return false;
+  }
+  const uint64_t ncent = l.params[0], nprobe = l.params[1];
+  if (ncent == 0 || ncent > l.num_items || nprobe == 0 || nprobe > ncent) {
+    MARS_LOG(ERROR) << who << ": implausible IVF parameters";
     return false;
   }
   return true;
@@ -191,18 +174,6 @@ bool IvfPayloadValid(const IndexLayout& l, const uint32_t* assign,
   return true;
 }
 
-/// A loaded VP-tree's id array must be a permutation of [0, num_items):
-/// the search gathers vectors by id, so an out-of-range id would read
-/// outside the mapped vector table.
-bool VpPayloadValid(const IndexLayout& l, const ItemId* ids) {
-  std::vector<bool> seen(l.num_items, false);
-  for (uint64_t i = 0; i < l.num_items; ++i) {
-    if (ids[i] >= l.num_items || seen[ids[i]]) return false;
-    seen[ids[i]] = true;
-  }
-  return true;
-}
-
 }  // namespace
 
 bool SaveCandidateIndex(const CandidateIndex& index, const std::string& path) {
@@ -216,18 +187,6 @@ bool SaveCandidateIndex(const CandidateIndex& index, const std::string& path) {
     const std::span<const uint8_t> regions[kMaxRegions] = {
         Bytes(ivf->centroids()), Bytes(ivf->assignments()),
         Bytes(ivf->offsets()), Bytes(ivf->list_ids())};
-    return WriteIndexFile(path, l, regions);
-  }
-  if (const auto* vp = dynamic_cast<const VpTreeIndex*>(&index)) {
-    IndexLayout l;
-    l.kind = kKindVpTree;
-    l.num_items = vp->num_items();
-    l.dim = vp->dim();
-    l.params[0] = vp->leaf_size();
-    l.params[1] = vp->parallel_depth();
-    l.params[2] = vp->seed();
-    const std::span<const uint8_t> regions[kMaxRegions] = {
-        Bytes(vp->vectors()), Bytes(vp->ids()), Bytes(vp->radii()), {}};
     return WriteIndexFile(path, l, regions);
   }
   MARS_LOG(ERROR) << "SaveCandidateIndex: unsupported index kind '"
@@ -278,17 +237,11 @@ std::shared_ptr<const CandidateIndex> LoadCandidateIndexMapped(
   // nothing below multiplies unchecked header fields.
   if (!LayoutPlausible(l, who)) return nullptr;
 
-  // The index must pair with the serving model: right geometry kind,
-  // same vector dim, same catalog.
-  const uint32_t want_kind = model.index_geometry() == IndexGeometry::kDot
-                                 ? kKindSphericalIvf
-                                 : model.index_geometry() == IndexGeometry::kL2
-                                       ? kKindVpTree
-                                       : 0;
-  if (l.kind != want_kind) {
-    MARS_LOG(ERROR) << who << ": " << path
-                    << " holds the wrong index kind for the model's "
-                    << "geometry";
+  // The index must pair with the serving model: a geometry the index
+  // serves, same vector dim, same catalog.
+  if (model.index_geometry() != IndexGeometry::kDot) {
+    MARS_LOG(ERROR) << who << ": " << path << " is an IVF index, but the "
+                    << "model declares no dot-product index geometry";
     return nullptr;
   }
   if (l.dim != model.index_dim() || l.num_items != num_items) {
@@ -329,37 +282,21 @@ std::shared_ptr<const CandidateIndex> LoadCandidateIndexMapped(
     }
   }
 
-  if (l.kind == kKindSphericalIvf) {
-    const auto* centroids =
-        reinterpret_cast<const float*>(base + l.region_offset[0]);
-    const auto* assign =
-        reinterpret_cast<const uint32_t*>(base + l.region_offset[1]);
-    const auto* offsets =
-        reinterpret_cast<const uint32_t*>(base + l.region_offset[2]);
-    const auto* list_ids =
-        reinterpret_cast<const ItemId*>(base + l.region_offset[3]);
-    if (!IvfPayloadValid(l, assign, offsets, list_ids)) {
-      MARS_LOG(ERROR) << who << ": " << path << " holds corrupt IVF lists";
-      return nullptr;
-    }
-    return SphericalIvfIndex::Borrow(l.num_items, l.dim, l.params[0],
-                                     l.params[1], centroids, assign, offsets,
-                                     list_ids, std::move(file));
-  }
-  const auto* vectors =
+  const auto* centroids =
       reinterpret_cast<const float*>(base + l.region_offset[0]);
-  const auto* ids =
-      reinterpret_cast<const ItemId*>(base + l.region_offset[1]);
-  const auto* radii =
-      reinterpret_cast<const float*>(base + l.region_offset[2]);
-  if (!VpPayloadValid(l, ids)) {
-    MARS_LOG(ERROR) << who << ": " << path
-                    << " holds a corrupt VP-tree permutation";
+  const auto* assign =
+      reinterpret_cast<const uint32_t*>(base + l.region_offset[1]);
+  const auto* offsets =
+      reinterpret_cast<const uint32_t*>(base + l.region_offset[2]);
+  const auto* list_ids =
+      reinterpret_cast<const ItemId*>(base + l.region_offset[3]);
+  if (!IvfPayloadValid(l, assign, offsets, list_ids)) {
+    MARS_LOG(ERROR) << who << ": " << path << " holds corrupt IVF lists";
     return nullptr;
   }
-  return VpTreeIndex::Borrow(l.num_items, l.dim, l.params[0], l.params[1],
-                             l.params[2], vectors, ids, radii,
-                             std::move(file));
+  return SphericalIvfIndex::Borrow(l.num_items, l.dim, l.params[0],
+                                   l.params[1], centroids, assign, offsets,
+                                   list_ids, std::move(file));
 }
 
 }  // namespace mars

@@ -2,9 +2,8 @@
 // tier.
 //
 // A built CandidateIndex is a handful of flat contiguous arrays (the IVF
-// centroids + CSR inverted lists, the VP-tree vector table + node
-// arrays), so persisting it follows the format-v3 playbook
-// (docs/FORMAT.md): SaveCandidateIndex writes the arrays at their
+// centroids + CSR inverted lists), so persisting it follows the format-v3
+// playbook (docs/FORMAT.md): SaveCandidateIndex writes the arrays at their
 // in-memory stride into a self-describing index file — fixed header
 // (magic "MRSI", version, kind, geometry, build parameters), a region
 // table placing every array at a 64-byte-aligned file offset with a
@@ -19,8 +18,8 @@
 // Pairing contract, like the top-k sidecar: an index file stores
 // geometry, not provenance — it is only meaningful next to the exact
 // model snapshot it was built from. The loader verifies the mechanical
-// part (kind vs the model's declared geometry, dim, item count, layout,
-// checksums, CSR/permutation invariants); shipping the index next to the
+// part (kind, the model's declared geometry, dim, item count, layout,
+// checksums, CSR invariants); shipping the index next to the
 // right snapshot is the caller's job — treat snapshot + index + sidecar
 // as one restart unit and regenerate all three together.
 #ifndef MARS_ANN_INDEX_IO_H_
@@ -34,17 +33,17 @@
 namespace mars {
 
 /// Writes `index` to `path` (see docs/FORMAT.md for the byte layout).
-/// Supports the two concrete kinds (SphericalIvfIndex, VpTreeIndex);
-/// returns false with an error log on I/O failure or an unknown kind.
+/// Supports the one concrete kind (SphericalIvfIndex); returns false with
+/// an error log on I/O failure or any other CandidateIndex subclass.
 bool SaveCandidateIndex(const CandidateIndex& index, const std::string& path);
 
 /// Maps the index at `path` and returns it as an immutable, probe-ready
 /// CandidateIndex borrowing the mapping (zero copy; the mapping is kept
 /// alive for the life of the returned index and anything derived from
 /// it). `model` and `num_items` are the serving pair the index must
-/// match: wrong kind for the model's geometry, wrong dim, or wrong item
-/// count rejects, as do bad magic/version, implausible or inconsistent
-/// headers, truncation, and checksum mismatches — always with a clean
+/// match: an unknown kind (including the retired VP-tree kind 2), a model
+/// with no index geometry, wrong dim, or wrong item count rejects, as do
+/// bad magic/version, implausible or inconsistent headers, truncation, and checksum mismatches — always with a clean
 /// nullptr + error log, never a crash or allocation blow-up. The result
 /// plugs directly into TopKServerOptions::ann.prebuilt.
 std::shared_ptr<const CandidateIndex> LoadCandidateIndexMapped(

@@ -27,17 +27,10 @@ namespace mars {
 void DotBatch(const float* u, const float* rows, size_t count, size_t stride,
               size_t n, float* out);
 
-/// out[i] = ||u - row_i||^2 for i in [0, count).
-void SquaredDistanceBatch(const float* u, const float* rows, size_t count,
-                          size_t stride, size_t n, float* out);
-
 /// Gather variants: candidate i lives at `base + ids[i] * stride`. These are
 /// the ScoreItems shapes — the evaluator hands models an arbitrary id list.
 void DotGather(const float* u, const float* base, size_t stride,
                const uint32_t* ids, size_t count, size_t n, float* out);
-void SquaredDistanceGather(const float* u, const float* base, size_t stride,
-                           const uint32_t* ids, size_t count, size_t n,
-                           float* out);
 
 /// out[i] = -||u - row_{ids[i]}||² — the metric-model preference score
 /// (CML/SML/MetricF all rank by negated distance; shared here so the

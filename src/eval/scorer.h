@@ -24,13 +24,12 @@ namespace mars {
 ///          bias rides as one appended component against a constant-1 query
 ///          component; MARS concatenates its K facet rows against
 ///          theta-and-radius-scaled user facets).
-///   kL2  — Score(u, v) is strictly decreasing in ||query(u) - item(v)||
-///          (the metric models score exactly -distance²), so ascending
-///          distance order is the score order.
 ///   kNone — no such vectorization exists (per-candidate projections,
-///          neural towers, …); the serving layer falls back to the exact
+///          neural towers, …), or the exact sweep already serves the model
+///          faster than an index would (the single-space metric models:
+///          CML, SML, MetricF); the serving layer falls back to the exact
 ///          full-catalog sweep.
-enum class IndexGeometry { kNone, kDot, kL2 };
+enum class IndexGeometry { kNone, kDot };
 
 /// Scores user-item pairs; higher means "more recommended".
 class ItemScorer {
@@ -82,7 +81,7 @@ class ItemScorer {
   virtual bool thread_safe() const { return true; }
 
   // --- ANN index capability (see IndexGeometry above). ---------------------
-  // The contract couples the three overrides: a model returning kDot/kL2
+  // The contract couples the three overrides: a model returning kDot
   // must also implement index_dim(), CopyIndexVectors() and
   // WriteIndexQuery() consistently, and the vectors must describe the
   // *current* weights — the serving layer snapshots the model before

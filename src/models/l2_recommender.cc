@@ -28,15 +28,4 @@ void L2Recommender::ScoreItemRangeMulti(std::span<const UserId> users,
                                    item_.cols(), dim_, out);
 }
 
-void L2Recommender::CopyIndexVectors(ItemId begin, ItemId end,
-                                     float* out) const {
-  for (ItemId v = begin; v < end; ++v, out += dim_) {
-    Copy(item_.Row(v), out, dim_);
-  }
-}
-
-void L2Recommender::WriteIndexQuery(UserId u, float* out) const {
-  Copy(user_.Row(u), out, dim_);
-}
-
 }  // namespace mars

@@ -4,8 +4,10 @@
 //   score(u, v) = -||u - v||²
 //
 // over one user table and one item table of `dim` columns each. The
-// subclasses differ only in how Fit trains the tables; scoring, the
-// serving range kernels and the ANN index capability live here once.
+// subclasses differ only in how Fit trains the tables; scoring and the
+// serving range kernels live here once. They declare no ANN index
+// geometry (eval/scorer.h): the exact multi-user sweep serves their misses
+// faster than a metric index does at the dims in use.
 #ifndef MARS_MODELS_L2_RECOMMENDER_H_
 #define MARS_MODELS_L2_RECOMMENDER_H_
 
@@ -22,13 +24,6 @@ class L2Recommender : public Recommender {
                   float* out) const override;
   void ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
                            ItemId end, float* const* out) const override;
-
-  // ANN capability: L2 geometry — Score is exactly -||u - v||², strictly
-  // decreasing in distance, so a metric index (VP-tree) is exact here.
-  IndexGeometry index_geometry() const override { return IndexGeometry::kL2; }
-  size_t index_dim() const override { return dim_; }
-  void CopyIndexVectors(ItemId begin, ItemId end, float* out) const override;
-  void WriteIndexQuery(UserId u, float* out) const override;
 
  protected:
   explicit L2Recommender(size_t dim) : dim_(dim) {}

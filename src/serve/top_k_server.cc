@@ -212,8 +212,7 @@ TopKResponse TopKServer::ServeOne(UserId u, bool bypass_cache) {
   if (!bypass_cache && TryCacheHit(u, &result)) return result;
   // Pool workers bypass the coalescer: a worker parked behind another
   // miss's batch could be a worker that batch's RunBatch fan-out needs.
-  if (options_.batch.coalesce_misses &&
-      !(options_.pool != nullptr && options_.pool->IsWorkerThread())) {
+  if (options_.pool == nullptr || !options_.pool->IsWorkerThread()) {
     return CoalescedMiss(u);
   }
   std::vector<TopKResponse> results(1);
@@ -582,7 +581,7 @@ void TopKServer::AnnSweep(const ItemScorer& model, const CandidateIndex& index,
       // Overfetch: k·overfetch candidates absorb near-boundary ranking
       // churn; widening by the user's interaction count guarantees
       // exclusion filtering alone can never shorten the answer below k
-      // (for the exact VP-tree this keeps the served top-k exactly the
+      // (at full nprobe this keeps the served top-k exactly the
       // brute-force one).
       const size_t excluded =
           exclude != nullptr ? exclude->UserDegree(users[b]) : 0;

@@ -149,22 +149,19 @@ struct AnnOptions {
 };
 
 /// Miss-batching knobs (TopKServerOptions::batch).
+/// Miss coalescing: concurrent TopK misses that land while another miss
+/// is sweeping queue up and are served together as one multi-user batched
+/// sweep (ScoreItemRangeMulti / ProbeBatch — each item row is streamed once
+/// per batch instead of once per user). Every batched response is
+/// bit-identical to its solo sweep against the same pinned snapshot, and
+/// each user caches under its own pinned-epoch rule, so this changes
+/// throughput, never answers. An uncontended miss pays one uncontended
+/// mutex hop and sweeps as a batch of one — no added latency. Batches form
+/// only from misses that queued behind an in-flight sweep, which is where
+/// the win is under real concurrency. Pool worker threads always bypass
+/// the coalescer: a worker waiting on another miss's sweep could deadlock
+/// the pool that sweep fans over.
 struct BatchOptions {
-  /// Miss coalescing: concurrent TopK misses that land while another miss
-  /// is sweeping queue up and are served together as one multi-user
-  /// batched sweep (ScoreItemRangeMulti / ProbeBatch — each item row is
-  /// streamed once per batch instead of once per user). Every batched
-  /// response is bit-identical to its solo sweep against the same pinned
-  /// snapshot, and each user caches under its own pinned-epoch rule, so
-  /// this changes throughput, never answers. An uncontended miss pays one
-  /// uncontended mutex hop and sweeps as a batch of one — no added
-  /// latency. Batches form only from misses that queued behind an
-  /// in-flight sweep, which is where the win is under real concurrency.
-  /// Turn off to restore fully independent concurrent sweeps (e.g. many
-  /// idle cores, no pool, compute-bound models). Pool worker threads
-  /// always bypass the coalescer: a worker waiting on another miss's sweep
-  /// could deadlock the pool that sweep fans over.
-  bool coalesce_misses = true;
   /// Users per coalesced batch, at most (bounds the per-chunk score
   /// buffers; excess queued misses form the next batch).
   size_t max_batch = 16;
@@ -256,9 +253,9 @@ class TopKServer {
   /// and in-process callers share): cache hit, or a full-catalog sweep of
   /// the pinned snapshot that fills the cache. Safe to call concurrently
   /// from any number of threads, including while the maintenance path
-  /// publishes. With batch.coalesce_misses set (the default), a miss that
-  /// arrives while another miss is sweeping joins the next multi-user
-  /// batched sweep — same answer, one streaming pass over the catalog for
+  /// publishes. A miss that arrives while another miss is sweeping joins
+  /// the next multi-user batched sweep (pool worker threads excepted; see
+  /// BatchOptions) — same answer, one streaming pass over the catalog for
   /// the whole batch. Concurrent misses for the same user then share one
   /// sweep instead of sweeping redundantly (each still counts as its own
   /// miss, so hits + misses stays the query count).
@@ -450,7 +447,7 @@ class TopKServer {
   void InsertMissEntry(UserId u, const TopKResponse& result,
                        uint64_t pinned_epoch);
 
-  /// The coalesced miss path (see BatchOptions::coalesce_misses): queue
+  /// The coalesced miss path (see BatchOptions): queue
   /// behind an in-flight sweep, else become the leader, claim up to
   /// batch.max_batch queued misses and sweep them as one batch.
   TopKResponse CoalescedMiss(UserId u);
@@ -491,7 +488,7 @@ class TopKServer {
   /// probe cost instead of full shard re-scores — and only those few
   /// candidates are exact-scored; the acceptance threshold, merge, and
   /// exactness cutoff are the exact path's, so under an exhaustive probe
-  /// (VP-tree, or IVF at full nprobe) the refreshed entry and the drop
+  /// (IVF at full nprobe) the refreshed entry and the drop
   /// decision are bit-identical to `ann == nullptr`. An approximate probe
   /// degrades candidate coverage only — the same recall axis as
   /// ANN-served misses, never a mis-scored item. Returns false when the

@@ -48,6 +48,9 @@ TEST_P(BatchKernelShapes, DotBatchMatchesPerRow) {
   }
 }
 
+// The squared-distance row primitive across shapes, read through the
+// metric models' serving kernel (negation is exact, so -got is the row
+// primitive's own result).
 TEST_P(BatchKernelShapes, SquaredDistanceBatchMatchesPerRow) {
   const auto [n, count] = GetParam();
   const size_t stride = n + 1;
@@ -55,9 +58,10 @@ TEST_P(BatchKernelShapes, SquaredDistanceBatchMatchesPerRow) {
   const auto u = RandomVec(&rng, n);
   const auto block = RandomBlock(&rng, count, stride, n);
   std::vector<float> got(count);
-  SquaredDistanceBatch(u.data(), block.data(), count, stride, n, got.data());
+  NegatedSquaredDistanceBatch(u.data(), block.data(), count, stride, n,
+                              got.data());
   for (size_t r = 0; r < count; ++r) {
-    EXPECT_NEAR(got[r],
+    EXPECT_NEAR(-got[r],
                 SquaredDistance(u.data(), block.data() + r * stride, n),
                 1e-4f);
   }
@@ -90,10 +94,10 @@ TEST(KernelsTest, SquaredDistanceGatherMatchesPerRow) {
   const auto base = RandomBlock(&rng, rows, stride, n);
   const std::vector<uint32_t> ids = {39, 1, 1, 12};
   std::vector<float> got(ids.size());
-  SquaredDistanceGather(u.data(), base.data(), stride, ids.data(), ids.size(),
-                        n, got.data());
+  NegatedSquaredDistanceGather(u.data(), base.data(), stride, ids.data(),
+                               ids.size(), n, got.data());
   for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_NEAR(got[i],
+    EXPECT_NEAR(-got[i],
                 SquaredDistance(u.data(), base.data() + ids[i] * stride, n),
                 1e-4f);
   }
