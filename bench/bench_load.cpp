@@ -20,17 +20,14 @@
 // The headline `speedup_warm` compares those two end-to-end;
 // `speedup_cold` isolates the load mechanism alone (v3 mmap but *cold*
 // first sweep, which touches every page of the mapping — the honest
-// zero-copy overhead) and is reported alongside. Acceptance bar from the
-// roadmap: the v3 lifecycle reaches its first served query >= 5x faster
-// than v2 copy-load at >= 10k items.
-//
-// Emits machine-readable JSON (BENCH_load.json via scripts/bench.sh or the
-// ci.sh --bench stage). Single-threaded on purpose, like bench_serve:
-// scripts/check_bench.py compares these numbers across machines/runs.
+// zero-copy overhead) and is reported alongside. The gate, checked
+// against this same run: the v3 lifecycle reaches its first served query
+// >= 5x faster than v2 copy-load at >= 10k items. It prints
+// `gate <name>: <value> <op> <bar> ok|FAIL`, and the binary exits 1 if
+// it failed. Single-threaded on purpose, like bench_serve.
 #include <algorithm>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ann/candidate_index.h"
@@ -46,18 +43,14 @@
 namespace {
 
 struct LoadResult {
-  size_t num_items = 0;
   double v2_load_ms = 0.0;         // LoadMars (copy) alone
   double v2_first_query_ms = 0.0;  // cold TopK after the copy-load
   double v2_total_ms = 0.0;        // load + server + first query
   double v3_load_ms = 0.0;         // LoadMarsMapped (mmap) alone
-  double v3_first_query_ms = 0.0;  // cold TopK over the mapping
   double v3_cold_total_ms = 0.0;   // mmap + server + cold first query
   double v3_warm_total_ms = 0.0;   // mmap + server + sidecar + hit query
   double index_load_ms = 0.0;      // LoadCandidateIndexMapped alone
   double v3_index_warm_total_ms = 0.0;  // + mapped ANN index in the unit
-  double speedup_cold = 0.0;       // v2_total / v3_cold_total
-  double speedup_warm = 0.0;       // v2_total / v3_warm_total (headline)
 };
 
 /// first ? store : running min — the repeat aggregation (see below).
@@ -67,10 +60,9 @@ void MinInto(double* slot, bool first, double value) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace mars;
 
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_load.json";
   const bool fast = BenchFastMode();
 
   const std::vector<size_t> catalog_sizes =
@@ -79,16 +71,15 @@ int main(int argc, char** argv) {
   const size_t kUsers = fast ? 300 : 1000;
   const size_t kTopK = 10;
   // The sub-ms rows (small catalogs, and the µs-scale warm lifecycle) are
-  // jitter-bound on shared hosts; enough repeats to keep identical-code
-  // reruns inside the regression gate's 25% band.
+  // jitter-bound on shared hosts; enough repeats that the min is the
+  // steady cost.
   const size_t kRepeats = fast ? 3 : 11;
   const size_t kWarmInnerRepeats = 8;  // see the v3+sidecar block
 
   bench::Banner(
       "bench_load — v2 copy-load vs v3 mmap-load to first served query");
-  const unsigned host_cpus = std::thread::hardware_concurrency();
-  std::printf("host cpus: %u  k=%zu  users=%zu  repeats=%zu\n\n", host_cpus,
-              kTopK, kUsers, kRepeats);
+  std::printf("k=%zu  users=%zu  repeats=%zu\n\n", kTopK, kUsers, kRepeats);
+  bench::Gates gates;
 
   const std::string v2_path = "bench_load_model.v2";
   const std::string v3_path = "bench_load_model.v3";
@@ -106,7 +97,6 @@ int main(int argc, char** argv) {
     }
   } cleanup{v2_path, v3_path, sidecar_path, index_path};
 
-  std::vector<LoadResult> results;
   for (const size_t num_items : catalog_sizes) {
     SyntheticConfig data_cfg;
     data_cfg.num_users = kUsers;
@@ -159,10 +149,9 @@ int main(int argc, char** argv) {
     // dominated by syscalls and page faults, so their mean tracks the
     // machine's page-cache state (a CI run right after a large build can
     // read 2x an idle run of identical code). The min is the steady
-    // warm-state cost — the stable code-regression signal the bench gate
-    // needs; the v2-vs-v3 comparison is unchanged by the choice.
+    // warm-state cost; the v2-vs-v3 comparison is unchanged by the
+    // choice.
     LoadResult r;
-    r.num_items = num_items;
     for (size_t rep = 0; rep < kRepeats; ++rep) {
       // v2: deserialize into owned stores, then sweep.
       {
@@ -192,18 +181,15 @@ int main(int argc, char** argv) {
         opts.k = kTopK;
         TopKServer server(UnownedSnapshot(mapped.get()), kUsers, num_items,
                           opts);
-        Timer query_timer;
         server.TopK(0);
-        const double query_ms = query_timer.ElapsedMillis();
         MinInto(&r.v3_load_ms, rep == 0, load_ms);
-        MinInto(&r.v3_first_query_ms, rep == 0, query_ms);
         MinInto(&r.v3_cold_total_ms, rep == 0, load_timer.ElapsedMillis());
       }
       // v3 + sidecar: the full restart lifecycle — mmap, warm the cache
       // from the sidecar, answer the first hot-user query from cache.
       // This path is tens of microseconds end to end (syscall-dominated),
-      // so it runs extra inner repeats: at kRepeats samples its
-      // run-to-run jitter would exceed the regression gate's threshold.
+      // so it runs extra inner repeats: at kRepeats samples its min still
+      // tracks run-to-run jitter.
       for (size_t w = 0; w < kWarmInnerRepeats; ++w) {
         Timer total_timer;
         const auto mapped = LoadMarsMapped(v3_path);
@@ -242,53 +228,22 @@ int main(int argc, char** argv) {
                 total_timer.ElapsedMillis());
       }
     }
-    r.speedup_cold =
+    const double speedup_cold =
         r.v3_cold_total_ms > 0.0 ? r.v2_total_ms / r.v3_cold_total_ms : 0.0;
-    r.speedup_warm =
+    const double speedup_warm =
         r.v3_warm_total_ms > 0.0 ? r.v2_total_ms / r.v3_warm_total_ms : 0.0;
-    results.push_back(r);
     std::printf(
         "items=%-6zu v2 load %7.3f + query %6.3f = %7.3f ms   "
         "v3 mmap %6.3f cold %7.3f warm %7.3f ms   "
         "speedup cold %5.1fx warm %6.1fx   "
         "+index (%6.3f ms map) warm %7.3f ms\n",
         num_items, r.v2_load_ms, r.v2_first_query_ms, r.v2_total_ms,
-        r.v3_load_ms, r.v3_cold_total_ms, r.v3_warm_total_ms,
-        r.speedup_cold, r.speedup_warm, r.index_load_ms,
-        r.v3_index_warm_total_ms);
+        r.v3_load_ms, r.v3_cold_total_ms, r.v3_warm_total_ms, speedup_cold,
+        speedup_warm, r.index_load_ms, r.v3_index_warm_total_ms);
+    if (num_items >= 10000) {
+      gates.AtLeast("speedup_warm@" + std::to_string(num_items),
+                    speedup_warm, 5.0);
+    }
   }
-  FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"bench\": \"mmap_load\",\n");
-  std::fprintf(out, "  \"host_cpus\": %u,\n", host_cpus);
-  std::fprintf(out, "  \"fast_mode\": %s,\n", fast ? "true" : "false");
-  std::fprintf(out,
-               "  \"model\": {\"type\": \"MARS\", \"dim\": 32, "
-               "\"num_facets\": 4},\n");
-  std::fprintf(out, "  \"k\": %zu,\n", kTopK);
-  std::fprintf(out, "  \"results\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const LoadResult& r = results[i];
-    std::fprintf(
-        out,
-        "    {\"num_items\": %zu, \"v2_load_ms\": %.6f, "
-        "\"v2_first_query_ms\": %.6f, \"v2_total_ms\": %.6f, "
-        "\"v3_load_ms\": %.6f, \"v3_first_query_ms\": %.6f, "
-        "\"v3_cold_total_ms\": %.6f, \"v3_warm_total_ms\": %.6f, "
-        "\"index_load_ms\": %.6f, \"v3_index_warm_total_ms\": %.6f, "
-        "\"speedup_cold\": %.2f, \"speedup_warm\": %.2f}%s\n",
-        r.num_items, r.v2_load_ms, r.v2_first_query_ms, r.v2_total_ms,
-        r.v3_load_ms, r.v3_first_query_ms, r.v3_cold_total_ms,
-        r.v3_warm_total_ms, r.index_load_ms, r.v3_index_warm_total_ms,
-        r.speedup_cold, r.speedup_warm,
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", out_path.c_str());
-  return 0;
+  return gates.Finish();
 }

@@ -1,4 +1,4 @@
-// Shared helpers for the paper-table bench binaries.
+// Shared helpers for the paper-table and serving bench binaries.
 #ifndef MARS_BENCH_BENCH_UTIL_H_
 #define MARS_BENCH_BENCH_UTIL_H_
 
@@ -38,6 +38,39 @@ inline double BestBaselineMetric(ExperimentData* data,
   }
   return best;
 }
+
+/// The same-run acceptance gates of a bench binary. Each check prints
+/// `gate <name>: <value> <op> <bar> ok|FAIL` and the binary keeps going,
+/// so one run reports every section; main returns Finish() at the end,
+/// 1 if any gate failed.
+class Gates {
+ public:
+  void AtLeast(const std::string& name, double value, double bar) {
+    Report(name, value, ">=", bar, value >= bar);
+  }
+  void AtMost(const std::string& name, double value, double bar) {
+    Report(name, value, "<=", bar, value <= bar);
+  }
+  void Equal(const std::string& name, double value, double bar) {
+    Report(name, value, "==", bar, value == bar);
+  }
+  int Finish() const {
+    std::printf("\n%zu gate(s), %zu failed\n", checked_, failed_);
+    return failed_ > 0 ? 1 : 0;
+  }
+
+ private:
+  void Report(const std::string& name, double value, const char* op,
+              double bar, bool ok) {
+    std::printf("gate %s: %.6g %s %g %s\n", name.c_str(), value, op, bar,
+                ok ? "ok" : "FAIL");
+    ++checked_;
+    if (!ok) ++failed_;
+  }
+
+  size_t checked_ = 0;
+  size_t failed_ = 0;
+};
 
 /// Prints the standard bench banner with fast-mode notice.
 inline void Banner(const std::string& title) {

@@ -12,9 +12,10 @@
 # Modes:
 #   (none)    configure + build + ctest + perfbench_tests + perfbench
 #             output test + quickstart smokes
-#   --bench   additionally run bench_train/bench_serve/bench_load and gate
-#             fresh timings against the committed BENCH_*.json via
-#             scripts/check_bench.py (>25% single-thread regression fails)
+#   --bench   additionally run bench_serve and bench_load; each checks its
+#             own same-run gates (recall, cached/batched/ANN/restart
+#             ratios, refresh cost), prints one `gate ...` line per gate
+#             and exits non-zero if any failed
 #   --san     sanitizer build only: compile with -DMARS_SANITIZE=... and run
 #             the concurrency-sensitive tests (ShardView concurrent-writer
 #             stress, parallel trainer, write tracker / top-k server) under
@@ -183,14 +184,16 @@ echo "== quickstart smoke (num_threads=4 Hogwild + overlapped eval) =="
 "$BUILD_DIR"/quickstart 120 200 6 4
 
 if [ "$RUN_BENCH" = 1 ]; then
-  echo "== bench regression gate (fresh run vs committed BENCH_*.json) =="
-  "$BUILD_DIR"/bench_train "$BUILD_DIR/fresh_train.json"
-  "$BUILD_DIR"/bench_serve "$BUILD_DIR/fresh_serve.json"
-  "$BUILD_DIR"/bench_load "$BUILD_DIR/fresh_load.json"
-  python3 scripts/check_bench.py \
-    BENCH_train.json "$BUILD_DIR/fresh_train.json" \
-    BENCH_serve.json "$BUILD_DIR/fresh_serve.json" \
-    BENCH_load.json "$BUILD_DIR/fresh_load.json"
+  # Both benches run even if the first fails, so one pass reports every
+  # gate; the stage fails if either did.
+  echo "== bench gates (bench_serve, bench_load) =="
+  bench_status=0
+  "$BUILD_DIR"/bench_serve || bench_status=1
+  "$BUILD_DIR"/bench_load || bench_status=1
+  if [ "$bench_status" != 0 ]; then
+    echo "error: a bench gate failed (see the 'gate ... FAIL' lines)" >&2
+    exit 1
+  fi
 fi
 
 echo "CI OK"

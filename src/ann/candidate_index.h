@@ -9,7 +9,7 @@
 // item is scored. Recall — the fraction of the true top-k the candidate
 // block covers — is the single quality axis, and the bench
 // (bench/bench_serve.cpp) measures it against the brute-force oracle at
-// every committed nprobe (scripts/check_bench.py gates it).
+// every committed nprobe and gates it at the default one.
 //
 // One implementation covers the indexable geometry of eval/scorer.h:
 // SphericalIvfIndex (ann/ivf_index.h) for dot/cosine models (BPR, MARS
@@ -89,17 +89,12 @@ class CandidateIndex {
   /// must hold at least num_queries vectors), exactly as
   /// Probe(queries + q·dim(), want[q], &(*out)[q]) would — per query the
   /// candidate set is bit-identical to the solo probe, the contract the
-  /// batched miss path relies on. The default is that loop;
-  /// implementations override it to share cross-query work (the IVF
-  /// ranks centroids for all queries off one pass over the centroid
-  /// matrix).
+  /// batched miss path relies on. Implementations share cross-query work
+  /// (the IVF ranks centroids for all queries off one pass over the
+  /// centroid matrix).
   virtual void ProbeBatch(const float* queries, size_t num_queries,
                           const size_t* want,
-                          std::vector<std::vector<ItemId>>* out) const {
-    for (size_t q = 0; q < num_queries; ++q) {
-      Probe(queries + q * dim_, want[q], &(*out)[q]);
-    }
-  }
+                          std::vector<std::vector<ItemId>>* out) const = 0;
 
   /// Returns a fresh index over `model`'s current item vectors, reusing
   /// everything the dirty shards don't invalidate (IVF keeps its

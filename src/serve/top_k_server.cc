@@ -47,8 +47,11 @@ inline void CompactTopK(std::vector<std::pair<float, ItemId>>* buf,
 /// blocks — resetting it per block re-warms the candidate buffer every
 /// 2k items, which measurably dominates the batched sweep's non-scoring
 /// cost at large catalogs. The threshold is always a sound rejector
-/// (anything not beating the current k-th best can never make the
-/// top-k), so feeding one range or many yields the same selection.
+/// (anything strictly worse than the current k-th best can never make
+/// the top-k), so feeding one range or many yields the same selection.
+/// Rejecting only the strictly worse also lets a cutoff seeded from an
+/// earlier ranking (Seed) admit its own item when it is re-scored
+/// unchanged; within one sweep no item ties the threshold's.
 class RangeTopKSelector {
  public:
   RangeTopKSelector(UserId u, size_t k, const ImplicitDataset* exclude)
@@ -56,12 +59,19 @@ class RangeTopKSelector {
     buf_.reserve(BufCap());
   }
 
+  /// Starts the rejection threshold at `cutoff` instead of at the first
+  /// compaction (the incremental refresh seeds the old k-th rank).
+  void Seed(const std::pair<float, ItemId>& cutoff) {
+    threshold_ = cutoff;
+    has_threshold_ = true;
+  }
+
   void Consume(const float* scores, ItemId begin, ItemId end) {
     if (k_ == 0) return;
     for (ItemId v = begin; v < end; ++v) {
       if (exclude_ != nullptr && exclude_->HasInteraction(u_, v)) continue;
       const std::pair<float, ItemId> cand{scores[v - begin], v};
-      if (has_threshold_ && !RanksBetter(cand, threshold_)) continue;
+      if (has_threshold_ && RanksBetter(threshold_, cand)) continue;
       buf_.push_back(cand);
       if (buf_.size() >= BufCap()) {
         CompactTopK(&buf_, k_);
@@ -734,16 +744,12 @@ bool TopKServer::RefreshEntry(const ItemScorer& model, UserId u,
     }
   }
 
-  // Re-score the dirty shards against the current snapshot, accepting
-  // into one shared buffer. The acceptance threshold starts at the *old*
-  // k-th rank: a dirty item strictly worse than it can only enter the
-  // new top-k if the cutoff drops — and a dropped cutoff fails the
-  // exactness check below and re-sweeps anyway, so rejecting early loses
-  // nothing. This keeps the refresh at ~one comparison per dirty item
-  // (the old per-shard top-k selection dominated refresh cost at mid
-  // catalog sizes). The threshold only tightens when accepts pile up.
-  std::pair<float, ItemId> threshold = old_kth;
-  bool has_threshold = old_full;
+  // Re-score the dirty shards against the current snapshot. Dirty items
+  // are rejected against the *old* k-th rank: one strictly worse than it
+  // can only enter the new top-k if the cutoff drops — and a dropped
+  // cutoff fails the exactness check below and re-sweeps anyway, so
+  // rejecting early loses nothing. The rejection is strictly-worse: the
+  // old k-th member itself must survive its shard being dirtied.
   {
     // Same guard as the miss sweeps: a model with shared internal scoring
     // scratch must not be scored here while a frontend miss sweeps it.
@@ -758,7 +764,7 @@ bool TopKServer::RefreshEntry(const ItemScorer& model, UserId u,
       // sufficient: any dirty item that can enter the new top-k ranks in
       // the global top-(k + excluded) under the new snapshot, so it is in
       // the probe set; every clean item above the old cutoff is already a
-      // survivor. The acceptance threshold and exactness cutoff below are
+      // survivor. The old-cutoff rejection and the exactness check are
       // shared with the exact path, so the refreshed entry — and the drop
       // decision — match it bit for bit (an approximate probe costs
       // candidate coverage only, the usual ANN recall axis).
@@ -786,34 +792,27 @@ bool TopKServer::RefreshEntry(const ItemScorer& model, UserId u,
         for (size_t i = 0; i < dirty_cands.size(); ++i) {
           const std::pair<float, ItemId> cand{scratch->scores[i],
                                               dirty_cands[i]};
-          // Strictly-worse rejection, as below: the old k-th member must
-          // survive its shard being dirtied.
-          if (has_threshold && RanksBetter(threshold, cand)) continue;
+          if (old_full && RanksBetter(old_kth, cand)) continue;
           candidates.push_back(cand);
         }
       }
     } else {
-      const size_t buf_cap = candidates.size() + 4 * k;
+      // Exact path: the dirty shards stream through the miss sweep's
+      // selector, seeded at the old cutoff, so the refresh costs ~one
+      // comparison per dirty item and the threshold tightens as accepts
+      // pile up. Its k best join the survivors below.
+      RangeTopKSelector selector(u, k, exclude);
+      if (old_full) selector.Seed(old_kth);
       for (const size_t s : dirty) {
         const auto [begin, end] =
             FacetStore::ShardRange(num_items_, s, item_shards_);
         if (begin >= end) continue;
         scratch->scores.resize(end - begin);
         model.ScoreItemRange(u, begin, end, scratch->scores.data());
-        for (ItemId v = begin; v < end; ++v) {
-          if (exclude != nullptr && exclude->HasInteraction(u, v)) continue;
-          const std::pair<float, ItemId> cand{scratch->scores[v - begin], v};
-          // Reject only what is *strictly* worse than the threshold — the
-          // old k-th member itself must survive its shard being dirtied.
-          if (has_threshold && RanksBetter(threshold, cand)) continue;
-          candidates.push_back(cand);
-          if (candidates.size() >= buf_cap) {
-            CompactTopK(&candidates, k);
-            threshold = candidates[k - 1];
-            has_threshold = true;
-          }
-        }
+        selector.Consume(scratch->scores.data(), static_cast<ItemId>(begin),
+                         static_cast<ItemId>(end));
       }
+      selector.Finish(&candidates);
     }
   }
 

@@ -73,8 +73,8 @@
 //    lazily, the same bounded-stall policy as the all-dirty case, so an
 //    absorb never holds a stripe lock longer than the cheap refreshes.
 //    Mostly-clean epochs therefore keep the cache warm at a fraction of
-//    the cold-sweep cost (bench/bench_serve.cpp measures the ratio;
-//    scripts/check_bench.py gates it),
+//    the cold-sweep cost (bench/bench_serve.cpp measures and gates the
+//    ratio),
 //  - falls back to dropping everything when every item shard is dirty (a
 //    full re-sweep per entry costs the same as the cold miss it would
 //    save — let the next query pay it lazily).

@@ -384,30 +384,35 @@ TEST(TopKServerInvalidation, DirtyItemShardRefreshesEntriesInPlace) {
   // A dirty item shard no longer drops cached entries: each surviving
   // entry re-scores just that shard and re-merges. With an unchanged
   // model the refreshed ranking must be identical, and the entries stay
-  // warm (hits, not misses).
+  // warm (hits, not misses). Item 17 dirties the shard of user 0's top
+  // item; item 27 *is* user 0's k-th item, re-scored unchanged, which the
+  // refresh must keep rather than reject at its own cutoff.
   ToyScorer scorer;
-  WriteTracker tracker(64, 30, /*num_shards=*/8);
-  TopKServerOptions opts;
-  opts.k = 3;
-  opts.cache.item_shards = 8;
-  TopKServer server(UnownedSnapshot(&scorer), 64, 30, opts);
-  const TopKResponse before0 = server.TopK(0);
-  const TopKResponse before63 = server.TopK(63);
+  for (const ItemId dirty_item : {ItemId{17}, ItemId{27}}) {
+    SCOPED_TRACE(dirty_item);
+    WriteTracker tracker(64, 30, /*num_shards=*/8);
+    TopKServerOptions opts;
+    opts.k = 3;
+    opts.cache.item_shards = 8;
+    TopKServer server(UnownedSnapshot(&scorer), 64, 30, opts);
+    const TopKResponse before0 = server.TopK(0);
+    const TopKResponse before63 = server.TopK(63);
 
-  tracker.MarkItem(17);
-  server.AbsorbWrites(&tracker);
-  EXPECT_EQ(server.stats().invalidated, 0u);
-  EXPECT_EQ(server.stats().refreshed, 2u);
-  // The cheap merge proved exactness (the model didn't change, so the
-  // k-th rank held) — no entry was dropped for an unprovable merge.
-  EXPECT_EQ(server.stats().refresh_drops, 0u);
-  const TopKResponse after0 = server.TopK(0);
-  EXPECT_TRUE(after0.from_cache);
-  EXPECT_EQ(after0.items, before0.items);
-  EXPECT_EQ(after0.scores, before0.scores);
-  const TopKResponse after63 = server.TopK(63);
-  EXPECT_TRUE(after63.from_cache);
-  EXPECT_EQ(after63.items, before63.items);
+    tracker.MarkItem(dirty_item);
+    server.AbsorbWrites(&tracker);
+    EXPECT_EQ(server.stats().invalidated, 0u);
+    EXPECT_EQ(server.stats().refreshed, 2u);
+    // The cheap merge proved exactness (the model didn't change, so the
+    // k-th rank held) — no entry was dropped for an unprovable merge.
+    EXPECT_EQ(server.stats().refresh_drops, 0u);
+    const TopKResponse after0 = server.TopK(0);
+    EXPECT_TRUE(after0.from_cache);
+    EXPECT_EQ(after0.items, before0.items);
+    EXPECT_EQ(after0.scores, before0.scores);
+    const TopKResponse after63 = server.TopK(63);
+    EXPECT_TRUE(after63.from_cache);
+    EXPECT_EQ(after63.items, before63.items);
+  }
 }
 
 TEST(TopKServerInvalidation, EveryItemShardDirtyDropsInsteadOfRefreshing) {
