@@ -72,6 +72,32 @@ class Gates {
   size_t failed_ = 0;
 };
 
+/// Median and quartiles of a set of trial readings (linear interpolation
+/// between order statistics).
+struct Spread {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+  double iqr() const { return q3 - q1; }
+};
+
+inline Spread MedianAndQuartiles(std::vector<double> values) {
+  Spread s;
+  if (values.empty()) return s;
+  std::sort(values.begin(), values.end());
+  const auto quantile = [&values](double q) {
+    const double pos = q * static_cast<double>(values.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, values.size() - 1);
+    return values[lo] + (pos - static_cast<double>(lo)) *
+                            (values[hi] - values[lo]);
+  };
+  s.median = quantile(0.5);
+  s.q1 = quantile(0.25);
+  s.q3 = quantile(0.75);
+  return s;
+}
+
 /// Prints the standard bench banner with fast-mode notice.
 inline void Banner(const std::string& title) {
   std::printf("=====================================================\n");

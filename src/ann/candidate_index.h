@@ -83,7 +83,8 @@ class CandidateIndex {
   virtual void Probe(const float* query, size_t want,
                      std::vector<ItemId>* out) const = 0;
 
-  /// Batched probe for the serving coalescer: `queries` holds
+  /// Batched probe for the serving layer's miss sweep (a TopKBatch
+  /// group, or a single miss as a batch of one): `queries` holds
   /// `num_queries` query vectors of dim() floats, tightly packed;
   /// appends each query's candidates to (*out)[q] (not cleared; `out`
   /// must hold at least num_queries vectors), exactly as

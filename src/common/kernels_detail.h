@@ -140,7 +140,7 @@ MARS_AVX2_FN inline float SquaredDistanceRowAvx2(const float* a,
 // registers). Per user, the op sequence is *identical* to the single-user
 // primitive (same two-accumulator FMA chains, same Hsum256, same scalar
 // tail), so each lane of `out` is bit-identical to the corresponding solo
-// call — the batch≡solo contract the serving coalescer pins.
+// call — the batch≡solo contract TopKServer::TopKBatch pins.
 
 MARS_AVX2_FN inline void DotRowAvx2X4(const float* const* a, const float* b,
                                       size_t n, float* out) {

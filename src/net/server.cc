@@ -17,6 +17,11 @@ namespace mars {
 
 namespace {
 
+/// Requests per TopKBatch call: a wake-up's decoded requests are served
+/// in chunks of this size (TopKBatch further splits its misses into
+/// sweep groups).
+constexpr size_t kMaxWireBatch = 64;
+
 bool SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -215,8 +220,7 @@ void NetServer::ServeDecoded(
   std::vector<size_t> positions;
   size_t at = 0;
   while (at < decoded->size()) {
-    const size_t n =
-        std::min(options_.max_wire_batch, decoded->size() - at);
+    const size_t n = std::min(kMaxWireBatch, decoded->size() - at);
     batch.clear();
     positions.clear();
     for (size_t i = 0; i < n; ++i) {

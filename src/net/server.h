@@ -5,14 +5,14 @@
 //
 // The load-bearing design point is *natural batching*: every request
 // decoded in one reactor wake-up — across all connections — is grouped
-// into TopKServer::TopKBatch calls (chunks of max_wire_batch). While a
+// into TopKServer::TopKBatch calls (chunks of 64 requests). While a
 // sweep runs, newly-arriving requests accumulate in socket buffers; the
 // next wake-up drains them all at once, so batch size self-scales with
-// load exactly like the in-process miss coalescer. No artificial delay
-// is ever added: an idle server answers a lone request at solo latency,
-// a loaded one amortizes the catalog stream over every concurrent user
-// (stats().wire_batches / the serve layer's batch_sweeps make the
-// grouping observable — the acceptance test pins it).
+// load; this is how misses from concurrent clients share one sweep. No
+// artificial delay is ever added: an idle server answers a lone request
+// at solo latency, a loaded one amortizes the catalog stream over every
+// concurrent user (stats().wire_batches / the serve layer's batch_sweeps
+// make the grouping observable — the acceptance test pins it).
 //
 // Threading: Start() spawns the reactor thread; Stop() (and the
 // destructor) signal it through an eventfd and join. TopKServer's read
@@ -47,10 +47,6 @@ struct NetServerOptions {
   size_t max_frame_payload = kDefaultMaxFramePayload;
   /// Accepted connections beyond this are closed immediately.
   size_t max_connections = 1024;
-  /// Requests decoded in one reactor wake-up are fed to TopKBatch in
-  /// chunks of this size (the serve layer further splits sweeps by its
-  /// own batch.max_batch).
-  size_t max_wire_batch = 64;
   /// Backpressure: a connection whose queued-but-unsent response bytes
   /// exceed this cap is shed — one best-effort kError(kOverloaded) frame,
   /// then close (stats().backpressure_closes counts them). A reader that
@@ -117,8 +113,8 @@ class NetServer {
  private:
   void RunLoop();
   void AcceptReady();
-  /// Serves every request decoded this wake-up: TopKBatch in
-  /// max_wire_batch chunks, responses queued to their connections.
+  /// Serves every request decoded this wake-up: TopKBatch in chunks of
+  /// 64, responses queued to their connections.
   void ServeDecoded(std::vector<std::pair<int, WireRequest>>* decoded);
   void DropConnection(int fd);
 

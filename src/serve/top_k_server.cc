@@ -20,6 +20,11 @@ namespace {
 /// into the same top-k whatever the block size.
 constexpr size_t kBatchBlockItems = 2048;
 
+/// Users per multi-user sweep, at most: TopKBatch sweeps its misses in
+/// groups of this size, bounding the per-chunk score buffers (B rows of
+/// kBatchBlockItems floats) however many requests one call carries.
+constexpr size_t kMaxSweepUsers = 16;
+
 /// Ranking order of the served lists: score descending, item id ascending
 /// on ties — the same deterministic order the equivalence tests pin.
 inline bool RanksBetter(const std::pair<float, ItemId>& a,
@@ -220,11 +225,6 @@ void TopKServer::TruncateToK(uint32_t k, TopKResponse* out) {
 TopKResponse TopKServer::ServeOne(UserId u, bool bypass_cache) {
   TopKResponse result;
   if (!bypass_cache && TryCacheHit(u, &result)) return result;
-  // Pool workers bypass the coalescer: a worker parked behind another
-  // miss's batch could be a worker that batch's RunBatch fan-out needs.
-  if (options_.pool == nullptr || !options_.pool->IsWorkerThread()) {
-    return CoalescedMiss(u);
-  }
   std::vector<TopKResponse> results(1);
   const uint64_t pinned_epoch = SweepMisses({&u, 1}, &results);
   InsertMissEntry(u, results[0], pinned_epoch);
@@ -246,8 +246,7 @@ TopKResponse TopKServer::TopK(UserId u) {
 }
 
 uint64_t TopKServer::SweepMisses(std::span<const UserId> users,
-                                 std::vector<TopKResponse>* results,
-                                 size_t extra_requests) {
+                                 std::vector<TopKResponse>* results) {
   // Pin the current epoch once for the whole batch and sweep it outside
   // every lock — the maintenance side may publish the next epoch
   // mid-sweep without blocking us, and other stripes keep serving hits
@@ -272,13 +271,12 @@ uint64_t TopKServer::SweepMisses(std::span<const UserId> users,
   } else {
     Sweep(*snapshot, users, results);
   }
-  const size_t served = users.size() + extra_requests;
   (ann_ok ? ann_probes_ : exact_fallbacks_)
-      .fetch_add(served, std::memory_order_relaxed);
+      .fetch_add(users.size(), std::memory_order_relaxed);
   // The batching-efficacy counters track multi-user sweeps only.
   if (users.size() >= 2) {
     batch_sweeps_.fetch_add(1, std::memory_order_relaxed);
-    coalesced_misses_.fetch_add(served, std::memory_order_relaxed);
+    coalesced_misses_.fetch_add(users.size(), std::memory_order_relaxed);
     uint64_t seen = max_batch_.load(std::memory_order_relaxed);
     while (seen < users.size() &&
            !max_batch_.compare_exchange_weak(seen, users.size(),
@@ -334,74 +332,6 @@ void TopKServer::InsertMissEntry(UserId u, const TopKResponse& result,
   }
 }
 
-TopKResponse TopKServer::CoalescedMiss(UserId u) {
-  PendingMiss self;
-  self.user = u;
-  std::unique_lock<std::mutex> lock(batch_mu_);
-  batch_queue_.push_back(&self);
-  while (!self.done && batch_leader_active_) batch_cv_.wait(lock);
-  if (self.done) return std::move(self.result);
-
-  // No leader running: this miss leads the next batch. Claim ourselves
-  // plus up to batch.max_batch - 1 queued misses, FIFO; anything beyond
-  // the cap stays queued for the next leader.
-  batch_leader_active_ = true;
-  const size_t cap = std::max<size_t>(1, options_.batch.max_batch);
-  batch_queue_.erase(
-      std::find(batch_queue_.begin(), batch_queue_.end(), &self));
-  std::vector<PendingMiss*> batch;
-  batch.reserve(std::min(cap, batch_queue_.size() + 1));
-  batch.push_back(&self);
-  while (!batch_queue_.empty() && batch.size() < cap) {
-    batch.push_back(batch_queue_.front());
-    batch_queue_.pop_front();
-  }
-  lock.unlock();
-
-  // Dedupe: concurrent misses for one user share a single sweep slot
-  // (separate sweeps would be wasted work for the same answer).
-  std::vector<UserId> users;
-  std::vector<size_t> slot(batch.size());
-  users.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    size_t s = 0;
-    while (s < users.size() && users[s] != batch[i]->user) ++s;
-    if (s == users.size()) users.push_back(batch[i]->user);
-    slot[i] = s;
-  }
-  std::vector<TopKResponse> results;
-  const uint64_t pinned_epoch =
-      SweepMisses(users, &results, batch.size() - users.size());
-  for (size_t s = 0; s < users.size(); ++s) {
-    InsertMissEntry(users[s], results[s], pinned_epoch);
-  }
-  // Members beyond the first per user shared the sweep, but each was a
-  // missed query of its own: count them so hits + misses stays the
-  // query count (InsertMissEntry counted the first occurrences).
-  std::vector<bool> seen(users.size(), false);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (!seen[slot[i]]) {
-      seen[slot[i]] = true;
-      continue;
-    }
-    Stripe& stripe = stripes_[StripeOf(batch[i]->user)];
-    std::unique_lock<std::mutex> stripe_lock(stripe.mu);
-    ++stripe.misses;
-  }
-
-  lock.lock();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    batch[i]->result = results[slot[i]];
-    batch[i]->done = true;
-  }
-  batch_leader_active_ = false;
-  lock.unlock();
-  // Wake the claimed members (their results are in) and whichever queued
-  // miss becomes the next leader.
-  batch_cv_.notify_all();
-  return std::move(self.result);
-}
-
 std::vector<TopKResponse> TopKServer::TopKBatch(
     std::span<const TopKRequest> requests) {
   std::vector<TopKResponse> out(requests.size());
@@ -431,13 +361,12 @@ std::vector<TopKResponse> TopKServer::TopKBatch(
     miss_users.push_back(u);
   }
   if (miss_users.empty()) return out;
-  // Sweep in groups of batch.max_batch — the same cap the coalescer
-  // honors, bounding the per-chunk score buffers for arbitrarily large
-  // requests. Each group pins its own epoch, like consecutive TopK calls.
-  const size_t cap = std::max<size_t>(1, options_.batch.max_batch);
+  // Sweep in groups of kMaxSweepUsers, bounding the per-chunk score
+  // buffers for arbitrarily large requests. Each group pins its own
+  // epoch, like consecutive TopK calls.
   std::vector<TopKResponse> results(miss_users.size());
-  for (size_t base = 0; base < miss_users.size(); base += cap) {
-    const size_t n = std::min(cap, miss_users.size() - base);
+  for (size_t base = 0; base < miss_users.size(); base += kMaxSweepUsers) {
+    const size_t n = std::min(kMaxSweepUsers, miss_users.size() - base);
     std::vector<TopKResponse> group;
     const uint64_t pinned_epoch =
         SweepMisses({miss_users.data() + base, n}, &group);
@@ -475,10 +404,7 @@ void TopKServer::Sweep(const ItemScorer& model, std::span<const UserId> users,
                            !options_.pool->IsWorkerThread();
   const size_t chunks = std::min(
       num_items_,
-      std::max<size_t>(1, !parallel_ok ? 1
-                          : options_.sweep_shards > 0
-                              ? options_.sweep_shards
-                              : options_.pool->num_threads()));
+      std::max<size_t>(1, parallel_ok ? options_.pool->num_threads() : 1));
 
   // chunks x B candidate pools, chunk-major: each chunk task owns a
   // contiguous run and never touches another task's pools.

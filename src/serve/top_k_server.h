@@ -89,9 +89,7 @@
 #define MARS_SERVE_TOP_K_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <list>
 #include <memory>
@@ -148,26 +146,7 @@ struct AnnOptions {
   std::shared_ptr<const CandidateIndex> prebuilt;
 };
 
-/// Miss-batching knobs (TopKServerOptions::batch).
-/// Miss coalescing: concurrent TopK misses that land while another miss
-/// is sweeping queue up and are served together as one multi-user batched
-/// sweep (ScoreItemRangeMulti / ProbeBatch — each item row is streamed once
-/// per batch instead of once per user). Every batched response is
-/// bit-identical to its solo sweep against the same pinned snapshot, and
-/// each user caches under its own pinned-epoch rule, so this changes
-/// throughput, never answers. An uncontended miss pays one uncontended
-/// mutex hop and sweeps as a batch of one — no added latency. Batches form
-/// only from misses that queued behind an in-flight sweep, which is where
-/// the win is under real concurrency. Pool worker threads always bypass
-/// the coalescer: a worker waiting on another miss's sweep could deadlock
-/// the pool that sweep fans over.
-struct BatchOptions {
-  /// Users per coalesced batch, at most (bounds the per-chunk score
-  /// buffers; excess queued misses form the next batch).
-  size_t max_batch = 16;
-};
-
-/// Serving knobs. The cache/ann/batch sprawl lives in nested groups so
+/// Serving knobs. The cache/ann sprawl lives in nested groups so
 /// front-ends (net/server.h embeds the whole struct in NetServerOptions)
 /// can carry, default, and document each concern as a unit; every group
 /// is a plain aggregate, so field-for-field designated initialization
@@ -176,9 +155,8 @@ struct TopKServerOptions {
   /// Recommendations per query. Results are (score desc, item id asc);
   /// fewer than k come back when the catalog (minus exclusions) is smaller.
   size_t k = 10;
-  /// Sweep fan-out chunks; 0 means one per pool thread (or 1 serial).
-  size_t sweep_shards = 0;
-  /// Pool for the parallel sweep (may be null → serial sweep). Models
+  /// Pool for the parallel sweep (may be null → serial sweep); the sweep
+  /// fans out one item chunk per pool thread. Models
   /// whose thread_safe() is false are swept serially regardless, and the
   /// server serializes their sweeps across frontend threads too.
   ThreadPool* pool = nullptr;
@@ -186,7 +164,6 @@ struct TopKServerOptions {
   const ImplicitDataset* exclude_interactions = nullptr;
   CacheOptions cache;
   AnnOptions ann;
-  BatchOptions batch;
 };
 
 /// Serving-side counters (cumulative since construction).
@@ -211,11 +188,10 @@ struct TopKServerStats {
                                     // above stays exact. refreshed +
                                     // refresh_drops - ann_refresh_probes
                                     // = exact-path refresh attempts.
-  // Batching efficacy (the miss coalescer + TopKBatch; a "batch" here is
-  // a multi-user sweep of >= 2 users — single-user sweeps don't count):
-  uint64_t coalesced_misses = 0;  // misses served by a multi-user sweep
-                                  // (duplicate concurrent misses for one
-                                  // user each count — they were misses)
+  // Batching efficacy (TopKBatch; a "batch" here is a multi-user sweep
+  // of >= 2 users — single-user sweeps don't count):
+  uint64_t coalesced_misses = 0;  // misses served by a TopKBatch
+                                  // multi-user sweep
   uint64_t batch_sweeps = 0;      // multi-user sweeps executed
   uint64_t max_batch_size = 0;    // largest batch swept so far
   double mean_batch_size = 0.0;   // coalesced_misses / batch_sweeps
@@ -252,13 +228,10 @@ class TopKServer {
   /// Top-k for one request (serve/request.h — the surface the wire codec
   /// and in-process callers share): cache hit, or a full-catalog sweep of
   /// the pinned snapshot that fills the cache. Safe to call concurrently
-  /// from any number of threads, including while the maintenance path
-  /// publishes. A miss that arrives while another miss is sweeping joins
-  /// the next multi-user batched sweep (pool worker threads excepted; see
-  /// BatchOptions) — same answer, one streaming pass over the catalog for
-  /// the whole batch. Concurrent misses for the same user then share one
-  /// sweep instead of sweeping redundantly (each still counts as its own
-  /// miss, so hits + misses stays the query count).
+  /// from any number of threads, pool workers included, and while the
+  /// maintenance path publishes. A miss sweeps alone, as a batch of one;
+  /// callers that hold several requests at once batch them through
+  /// TopKBatch.
   ///
   /// A malformed request (user outside the catalog, k above options().k,
   /// unknown flag bits) is *reported* — empty response with the matching
@@ -273,15 +246,16 @@ class TopKServer {
   /// derive ids from the catalog shape, so a violation is a caller bug.
   TopKResponse TopK(UserId u);
 
-  /// Positional batch form of TopK — the request-batching entry a wire
-  /// front-end submits coalesced reads through. Hits (and malformed
-  /// requests, which cost no sweep) resolve per position exactly as
-  /// TopK(request) would; all missing users are swept together against
-  /// one pinned snapshot via the multi-user kernels, each response
-  /// bit-identical to a solo TopK against that snapshot and each user
-  /// cached under its own pinned-epoch rule. Duplicate users in one call
-  /// are served by a single sweep (counted as one miss). Concurrency
-  /// rights are TopK's: any number of threads, racing maintenance freely.
+  /// Positional batch form of TopK — the one miss-batching entry (the
+  /// wire front-end submits every request decoded in one wake-up through
+  /// it). Hits (and malformed requests, which cost no sweep) resolve per
+  /// position exactly as TopK(request) would; the missing users are swept
+  /// together, in groups of at most 16, each group against one pinned
+  /// snapshot via the multi-user kernels, each response bit-identical to
+  /// a solo TopK against that snapshot and each user cached under its own
+  /// pinned-epoch rule. Duplicate users in one call are served by a
+  /// single sweep (counted as one miss). Concurrency rights are TopK's:
+  /// any number of threads, racing maintenance freely.
   std::vector<TopKResponse> TopKBatch(std::span<const TopKRequest> requests);
 
   /// Thin compat overload over bare user ids (asserts like TopK(UserId)).
@@ -398,14 +372,6 @@ class TopKServer {
     std::vector<ItemId> dirty_cands;
   };
 
-  /// One miss waiting in the coalescer: filled in and flagged done by the
-  /// batch leader that claims it, under batch_mu_.
-  struct PendingMiss {
-    UserId user = 0;
-    TopKResponse result;
-    bool done = false;
-  };
-
   size_t StripeOf(UserId u) const;
 
   /// Request validation shared by TopK(request) and TopKBatch(requests):
@@ -414,8 +380,7 @@ class TopKServer {
   bool ValidateRequest(const TopKRequest& request, TopKResponse* out) const;
 
   /// Serves one well-formed user query: cache hit unless `bypass_cache`,
-  /// else the (possibly coalesced) miss path. The core behind both TopK
-  /// forms.
+  /// else a batch-of-one miss sweep. The core behind both TopK forms.
   TopKResponse ServeOne(UserId u, bool bypass_cache);
 
   /// Truncates a configured-depth response to a smaller requested k (a
@@ -428,29 +393,18 @@ class TopKServer {
   /// returns true.
   bool TryCacheHit(UserId u, TopKResponse* out);
 
-  /// Miss-path core shared by TopK, the coalescer and TopKBatch: pins one
-  /// (snapshot, epoch) for the whole batch, sweeps every user against it
-  /// (Sweep or AnnSweep, whatever the batch size — one user is a batch of
-  /// one), stamps per-result epochs, and attributes stats. `users` must be
+  /// Miss-path core shared by TopK and TopKBatch: pins one (snapshot,
+  /// epoch) for the whole batch, sweeps every user against it (Sweep or
+  /// AnnSweep, whatever the batch size — one user is a batch of one),
+  /// stamps per-result epochs, and attributes stats. `users` must be
   /// deduplicated and non-empty; returns the pinned epoch.
-  /// `extra_requests` is the number of duplicate miss *queries* beyond
-  /// the deduped users this sweep also serves (the coalescer counts each
-  /// caller as a miss of its own, so the per-path counters must too —
-  /// `ann_probes + exact_fallbacks == misses` stays exact).
   uint64_t SweepMisses(std::span<const UserId> users,
-                       std::vector<TopKResponse>* results,
-                       size_t extra_requests = 0);
+                       std::vector<TopKResponse>* results);
 
   /// Caches a finished miss for `u` under the pinned-epoch rule (and
-  /// counts the miss) — the tail shared verbatim by every miss path
-  /// (TopK, the coalescer, TopKBatch).
+  /// counts the miss) — the tail shared verbatim by TopK and TopKBatch.
   void InsertMissEntry(UserId u, const TopKResponse& result,
                        uint64_t pinned_epoch);
-
-  /// The coalesced miss path (see BatchOptions): queue
-  /// behind an in-flight sweep, else become the leader, claim up to
-  /// batch.max_batch queued misses and sweep them as one batch.
-  TopKResponse CoalescedMiss(UserId u);
 
   /// Exact full-catalog sweep of `model` for a batch of users: one
   /// RunBatch job per item chunk scores *all* users of the batch per block
@@ -519,15 +473,6 @@ class TopKServer {
   std::atomic<uint64_t> ann_refresh_probes_{0};
 
   std::vector<Stripe> stripes_;
-
-  /// Miss coalescer (reader-side): misses queue here while a batch leader
-  /// sweeps; the leader claims up to batch.max_batch of them on its
-  /// way out. batch_mu_ only ever guards queue/flag manipulation — sweeps
-  /// run outside it, so the hot uncontended miss pays one mutex hop.
-  std::mutex batch_mu_;
-  std::condition_variable batch_cv_;
-  std::deque<PendingMiss*> batch_queue_;
-  bool batch_leader_active_ = false;
 
   /// Batching efficacy counters (multi-user sweeps only; see stats()).
   std::atomic<uint64_t> batch_sweeps_{0};

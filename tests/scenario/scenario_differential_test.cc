@@ -3,7 +3,7 @@
 // NetClient/NetServer, and directly into an identically configured
 // in-process TopKServer — and every response must match bit-for-bit:
 // items, float scores, epoch, and status. This pins the entire wire
-// path — encode, frame, reactor, batch coalescing, decode — as a no-op on
+// path — encode, frame, reactor, wire batching, decode — as a no-op on
 // serving semantics, under traffic no hand-written case enumerates.
 #include <cstdint>
 #include <vector>
@@ -108,7 +108,7 @@ TEST(ScenarioDifferentialTest, PipelinedBurstsMatchInProcessBitwise) {
     std::vector<WireResponse> out;
     ASSERT_TRUE(client.TopKPipelined(reqs, &out)) << "burst " << burst;
     ASSERT_EQ(out.size(), reqs.size());
-    // The server coalesces whatever lands together into TopKBatch — the
+    // The server groups whatever lands together into TopKBatch — the
     // differential check shows batching never changes any payload byte.
     for (size_t i = 0; i < reqs.size(); ++i) {
       ExpectBitIdentical(out[i], in_process.TopK(reqs[i]), i);

@@ -1,7 +1,7 @@
 // The scenario matrix: every shipped scenario runs wire-to-wire against
 // the live stack (trainer publishing epochs, TopKServer with full-probe
-// ANN + coalescing, NetServer over loopback) with all four invariant
-// checkers armed — and must finish with zero violations:
+// ANN, NetServer over loopback batching into TopKBatch) with all four
+// invariant checkers armed — and must finish with zero violations:
 //
 //   (a) every kOk response bit-identical to its published snapshot
 //   (b) no actor ever sees a user's epoch go backwards

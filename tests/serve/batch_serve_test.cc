@@ -1,4 +1,4 @@
-// Batched multi-user serving: TopKBatch and the miss coalescer.
+// Batched multi-user serving: TopKBatch, the one miss-batching path.
 //
 // The contract under test is bit-identity: every answer produced by a
 // multi-user batched sweep (ScoreItemRangeMulti block kernels, shared
@@ -6,9 +6,10 @@
 // answer a solo TopK computes against the same snapshot, for every model
 // the serving layer supports. A solo miss runs the same sweep body as a
 // batch of one, so exact answers are also pinned against an independent
-// brute force built from ScoreItems (the gather kernels). The coalescer tests additionally race the
-// batching machinery under TSAN (suite names match the ci.sh sanitizer
-// filter) and pin every coalesced response to a published snapshot epoch.
+// brute force built from ScoreItems (the gather kernels). The race tests
+// additionally run multi-user sweeps against concurrent publishes under
+// TSAN (suite names match the ci.sh sanitizer filter) and pin every
+// batched response to a published snapshot epoch.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -126,13 +127,15 @@ void ExpectBatchMatchesSolo(Recommender* model, const ImplicitDataset& data,
   }
 }
 
-/// Exact-sweep options shared by the model equivalence cases: forced
-/// multi-shard merge (like the solo equivalence suite) and exclusions on,
-/// so the batched selection handles holes in every block.
+/// Exact-sweep options shared by the model equivalence cases: a
+/// five-thread pool forces a five-chunk merge (like the solo equivalence
+/// suite) and exclusions are on, so the batched selection handles holes
+/// in every block.
 TopKServerOptions ExactOpts(const ImplicitDataset& data) {
+  static ThreadPool pool(5);
   TopKServerOptions opts;
   opts.k = 7;
-  opts.sweep_shards = 5;
+  opts.pool = &pool;
   opts.exclude_interactions = &data;
   return opts;
 }
@@ -244,10 +247,9 @@ TEST(TopKServerBatchEquivalence, PoolBackedBatchSweepMatchesSolo) {
   const auto data = SmallDataset();
   Bpr model(BprConfig{.dim = 16});
   model.Fit(*data, QuickTrain());
-  ThreadPool pool(3);
+  ThreadPool pool(6);
   TopKServerOptions opts = ExactOpts(*data);
   opts.pool = &pool;
-  opts.sweep_shards = 6;
   ExpectBatchMatchesSolo(&model, *data, opts);
 }
 
@@ -262,10 +264,9 @@ TEST(TopKServerBatchEquivalence, MultiBlockCatalogMatchesBruteForce) {
   TrainOptions train = QuickTrain();
   train.epochs = 1;
   model.Fit(*data, train);
-  ThreadPool pool(2);
+  ThreadPool pool(3);
   TopKServerOptions opts = ExactOpts(*data);
   opts.pool = &pool;
-  opts.sweep_shards = 3;
   for (const std::vector<UserId>& batch :
        {std::vector<UserId>{3}, std::vector<UserId>{3, 0, 5, 7, 1}}) {
     TopKServer server(UnownedSnapshot(&model), data->num_users(),
@@ -326,15 +327,16 @@ TEST(TopKServerBatchStats, OversizedBatchSplitsAtTheCoalescerCap) {
   ToyScorer scorer;
   TopKServerOptions opts;
   opts.k = 4;
-  opts.batch.max_batch = 4;
   TopKServer server(UnownedSnapshot(&scorer), 40, 60, opts);
-  // 10 distinct misses under a cap of 4 sweep as groups of 4 + 4 + 2.
-  server.TopKBatch(std::vector<UserId>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+  // 20 distinct misses sweep in groups of at most 16: 16 + 4.
+  std::vector<UserId> users(20);
+  std::iota(users.begin(), users.end(), UserId{0});
+  server.TopKBatch(users);
   const TopKServerStats stats = server.stats();
-  EXPECT_EQ(stats.misses, 10u);
-  EXPECT_EQ(stats.batch_sweeps, 3u);
-  EXPECT_EQ(stats.coalesced_misses, 10u);
-  EXPECT_EQ(stats.max_batch_size, 4u);
+  EXPECT_EQ(stats.misses, 20u);
+  EXPECT_EQ(stats.batch_sweeps, 2u);
+  EXPECT_EQ(stats.coalesced_misses, 20u);
+  EXPECT_EQ(stats.max_batch_size, 16u);
 }
 
 TEST(TopKServerBatchStats, EmptyAndSingletonBatches) {
@@ -391,15 +393,16 @@ std::vector<std::pair<std::vector<ItemId>, std::vector<float>>> BruteForceAll(
   return out;
 }
 
-TEST(TopKServerCoalesceTest, RacedCoalescedResponsesPinPublishedEpochs) {
-  // The coalescer acceptance race (run under TSAN with no suppressions in
-  // scope): query threads hammer an uncached server — every query takes
-  // the coalesced miss path — while the maintenance thread publishes a
-  // stream of model generations. Every response must be bit-identical to
-  // the brute force of the generation its `epoch` field claims: a batch
-  // blending two snapshots, or a result stamped with the wrong epoch,
-  // fails the per-epoch equality.
-  const size_t kUsers = 32, kItems = 300, kK = 6;
+TEST(TopKServerBatchRace, RacedBatchResponsesPinPublishedEpochs) {
+  // The batched-sweep acceptance race (run under TSAN with no
+  // suppressions in scope): query threads send TopKBatch groups of
+  // distinct users to an uncached server — every group is one multi-user
+  // sweep, and the threads' sweeps share one pool — while the maintenance
+  // thread publishes a stream of model generations. Every response must
+  // be bit-identical to the brute force of the generation its `epoch`
+  // field claims: a batch blending two snapshots, or a result stamped
+  // with the wrong epoch, fails the per-epoch equality.
+  const size_t kUsers = 32, kItems = 300, kK = 6, kGroup = 4;
   const size_t kGenerations = 6, kThreads = 4;
 
   std::vector<std::shared_ptr<const GenScorer>> generations;
@@ -412,26 +415,38 @@ TEST(TopKServerCoalesceTest, RacedCoalescedResponsesPinPublishedEpochs) {
   }
   ASSERT_NE(want[0][0].first, want[1][0].first);
 
+  ThreadPool pool(2);
   TopKServerOptions opts;
   opts.k = kK;
-  opts.cache.max_users = 0;  // all misses → maximal coalescer pressure
+  opts.pool = &pool;
+  opts.cache.max_users = 0;  // all misses: every group is swept
   TopKServer server(generations[0], kUsers, kItems, opts);
 
   std::atomic<bool> done{false};
   std::atomic<size_t> wrong{0};
+  std::atomic<size_t> queries{0};
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      std::vector<UserId> group(kGroup);
       size_t q = 0;
       while (!done.load(std::memory_order_acquire)) {
-        const UserId u = static_cast<UserId>((q * 3 + t) % kUsers);
-        const TopKResponse got = server.TopK(u);
-        // The pinning contract, sharpened: not just "some generation" —
-        // exactly the generation the result says it ranked.
-        const bool ok = got.epoch < kGenerations &&
-                        got.items == want[got.epoch][u].first &&
-                        got.scores == want[got.epoch][u].second;
-        if (!ok) wrong.fetch_add(1, std::memory_order_relaxed);
+        // kGroup distinct users, spaced kUsers / kGroup apart.
+        for (size_t j = 0; j < kGroup; ++j) {
+          group[j] = static_cast<UserId>((q * 3 + t + j * (kUsers / kGroup)) %
+                                         kUsers);
+        }
+        const std::vector<TopKResponse> got = server.TopKBatch(group);
+        for (size_t j = 0; j < kGroup; ++j) {
+          // The pinning contract, sharpened: not just "some generation" —
+          // exactly the generation the result says it ranked.
+          const UserId u = group[j];
+          const bool ok = got[j].epoch < kGenerations &&
+                          got[j].items == want[got[j].epoch][u].first &&
+                          got[j].scores == want[got[j].epoch][u].second;
+          if (!ok) wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+        queries.fetch_add(kGroup, std::memory_order_relaxed);
         ++q;
       }
     });
@@ -447,51 +462,18 @@ TEST(TopKServerCoalesceTest, RacedCoalescedResponsesPinPublishedEpochs) {
   EXPECT_EQ(wrong.load(), 0u);
   const TopKServerStats stats = server.stats();
   EXPECT_EQ(stats.hits, 0u);
-  EXPECT_LE(stats.max_batch_size, opts.batch.max_batch);
-  EXPECT_EQ(stats.coalesced_misses == 0, stats.batch_sweeps == 0);
-  if (stats.batch_sweeps > 0) {
-    EXPECT_GE(stats.mean_batch_size, 2.0);
-    EXPECT_LE(stats.mean_batch_size,
-              static_cast<double>(stats.max_batch_size));
-  }
+  EXPECT_EQ(stats.misses, queries.load());
+  EXPECT_GT(stats.batch_sweeps, 0u);
+  EXPECT_EQ(stats.coalesced_misses, stats.batch_sweeps * kGroup);
+  EXPECT_EQ(stats.max_batch_size, kGroup);
 }
 
-TEST(TopKServerCoalesceTest, ConcurrentSameUserMissesShareOneSweep) {
-  // Duplicate concurrent misses that queue behind one leader coalesce into
-  // one sweep slot but still count one miss each (hits + misses == query
-  // count holds), and every caller gets the full exact answer.
-  const size_t kUsers = 4, kItems = 150, kK = 5, kThreads = 4;
-  GenScorer scorer(0.0f);
-  const auto want = BruteForceAll(scorer, kUsers, kItems, kK);
-
-  TopKServerOptions opts;
-  opts.k = kK;
-  opts.cache.max_users = 0;
-  opts.batch.max_batch = kThreads;
-  TopKServer server(UnownedSnapshot(&scorer), kUsers, kItems, opts);
-
-  const UserId u = 2;
-  std::atomic<size_t> wrong{0};
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      const TopKResponse got = server.TopK(u);
-      if (got.items != want[u].first || got.scores != want[u].second) {
-        wrong.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(wrong.load(), 0u);
-  EXPECT_EQ(server.stats().misses, kThreads);
-}
-
-TEST(TopKServerCoalesceTest, PoolWorkersBypassTheCoalescer) {
+TEST(TopKServerNestedPool, TopKInsidePoolTasksServesExactly) {
   // TopK called *from* pool worker threads (embedded serving inside a
-  // pipeline task) must not park behind another miss's batch — a parked
-  // worker could be the very worker that batch's fan-out needs. The
-  // bypass serves them solo, exactly and without deadlock.
+  // pipeline task) must serve exactly and never deadlock: Sweep's
+  // nested-fan-out guard sweeps a worker's miss serially instead of
+  // fanning it over the pool the worker is part of. Every user is
+  // queried twice, so both cache paths run on workers.
   const size_t kUsers = 12, kItems = 200, kK = 5;
   GenScorer scorer(0.0f);
   const auto want = BruteForceAll(scorer, kUsers, kItems, kK);
@@ -499,20 +481,21 @@ TEST(TopKServerCoalesceTest, PoolWorkersBypassTheCoalescer) {
   ThreadPool pool(3);
   TopKServerOptions opts;
   opts.k = kK;
-  opts.cache.max_users = 0;
   opts.pool = &pool;
   TopKServer server(UnownedSnapshot(&scorer), kUsers, kItems, opts);
 
   std::atomic<size_t> wrong{0};
-  pool.RunBatch(kUsers, [&](size_t i) {
-    const UserId u = static_cast<UserId>(i);
+  pool.RunBatch(2 * kUsers, [&](size_t i) {
+    const UserId u = static_cast<UserId>(i % kUsers);
     const TopKResponse got = server.TopK(u);
     if (got.items != want[u].first || got.scores != want[u].second) {
       wrong.fetch_add(1, std::memory_order_relaxed);
     }
   });
   EXPECT_EQ(wrong.load(), 0u);
-  EXPECT_EQ(server.stats().misses, kUsers);
+  const TopKServerStats stats = server.stats();
+  EXPECT_EQ(stats.hits + stats.misses, 2 * kUsers);
+  EXPECT_GE(stats.misses, kUsers);
 }
 
 }  // namespace

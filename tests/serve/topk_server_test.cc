@@ -87,9 +87,10 @@ TrainOptions QuickTrain() {
 void ExpectServerMatchesBruteForce(Recommender* model,
                                    const ImplicitDataset& data) {
   const size_t k = 7;
+  ThreadPool pool(5);  // five sweep chunks: a multi-chunk merge
   TopKServerOptions opts;
   opts.k = k;
-  opts.sweep_shards = 5;  // force a multi-shard merge even without a pool
+  opts.pool = &pool;
   TopKServer server(UnownedSnapshot(model), data.num_users(), data.num_items(),
                     opts);
   for (UserId u = 0; u < 8; ++u) {
@@ -197,11 +198,10 @@ TEST(TopKServerTest, ParallelSweepMatchesSerial) {
   Bpr model(BprConfig{.dim = 16});
   model.Fit(*data, QuickTrain());
 
-  ThreadPool pool(3);
+  ThreadPool pool(6);
   TopKServerOptions par;
   par.k = 9;
   par.pool = &pool;
-  par.sweep_shards = 6;
   TopKServer parallel_server(UnownedSnapshot(&model), data->num_users(),
                              data->num_items(), par);
   TopKServerOptions ser;
@@ -230,7 +230,6 @@ TEST(TopKServerTest, NonThreadSafeModelIsSweptSeriallyAndCorrectly) {
   TopKServerOptions opts;
   opts.k = 6;
   opts.pool = &pool;
-  opts.sweep_shards = 4;
   TopKServer server(UnownedSnapshot(&scorer), 10, 40, opts);
   const auto [want_items, want_scores] = BruteForceTopK(scorer, 1, 40, 6);
   const TopKResponse got = server.TopK(1);
@@ -240,9 +239,10 @@ TEST(TopKServerTest, NonThreadSafeModelIsSweptSeriallyAndCorrectly) {
 
 TEST(TopKServerTest, KLargerThanCatalogReturnsWholeCatalogRanked) {
   ToyScorer scorer;
+  ThreadPool pool(4);
   TopKServerOptions opts;
   opts.k = 50;
-  opts.sweep_shards = 4;
+  opts.pool = &pool;
   TopKServer server(UnownedSnapshot(&scorer), /*num_users=*/10, /*num_items=*/5,
                     opts);
   const TopKResponse result = server.TopK(3);
@@ -258,9 +258,10 @@ TEST(TopKServerTest, TiesBreakTowardSmallerItemId) {
     float Score(UserId, ItemId) const override { return 1.0f; }
   };
   ConstantScorer scorer;
+  ThreadPool pool(3);
   TopKServerOptions opts;
   opts.k = 4;
-  opts.sweep_shards = 3;
+  opts.pool = &pool;
   TopKServer server(UnownedSnapshot(&scorer), 2, 20, opts);
   const TopKResponse result = server.TopK(0);
   EXPECT_EQ(result.items, (std::vector<ItemId>{0, 1, 2, 3}));
