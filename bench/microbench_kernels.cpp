@@ -105,7 +105,8 @@ BENCHMARK(BM_FusedRsgdStep)->Arg(32)->Arg(128);
 
 // --- Scalar-vs-batched scoring kernels -------------------------------------
 // One user row against a block of `rows` candidate rows at dim `d`,
-// per-row calls vs the batched kernels of common/kernels.h.
+// per-row calls vs the batched kernels of common/kernels.h (the batched
+// form is BM_DotBatchMulti at B = 1).
 
 constexpr size_t kBatchRows = 1024;
 
@@ -127,19 +128,6 @@ void BM_DotPerRow(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatchRows * d);
 }
 BENCHMARK(BM_DotPerRow)->Arg(32)->Arg(128);
-
-void BM_DotBatch(benchmark::State& state) {
-  const size_t d = static_cast<size_t>(state.range(0));
-  const auto u = RandomVec(d, 20);
-  const auto block = RandomBlock(kBatchRows, d, 21);
-  std::vector<float> out(kBatchRows);
-  for (auto _ : state) {
-    DotBatch(u.data(), block.data(), kBatchRows, d, d, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kBatchRows * d);
-}
-BENCHMARK(BM_DotBatch)->Arg(32)->Arg(128);
 
 // IVF coarse assignment (NearestCentroidDotBatch): `rows` rows against
 // `centroids` unit centroids at dim `d`. {4000, 564, 128} is the served
@@ -174,9 +162,9 @@ BENCHMARK(BM_NearestCentroidDotBatch)
 
 // --- Multi-user vs repeated single-user scoring ----------------------------
 // The batched-serving question: B users against one item block — B calls
-// of the single-user batch kernel (each streaming the block again) vs one
-// multi-user kernel call (each item row loaded once for all B users).
-// Args are (dim, B); per-user results are bit-identical by contract, so
+// of the multi-user kernel at B = 1 (each streaming the block again) vs
+// one call at B (each item row loaded once for all B users). Args are
+// (dim, B); per-user results are bit-identical by contract, so
 // items_processed rates compare directly.
 
 void BM_DotBatchRepeatedSingle(benchmark::State& state) {
@@ -187,8 +175,9 @@ void BM_DotBatchRepeatedSingle(benchmark::State& state) {
   std::vector<float> out(B * kBatchRows);
   for (auto _ : state) {
     for (size_t b = 0; b < B; ++b) {
-      DotBatch(us.data() + b * d, block.data(), kBatchRows, d, d,
-               out.data() + b * kBatchRows);
+      const float* u = us.data() + b * d;
+      float* o = out.data() + b * kBatchRows;
+      DotBatchMulti(&u, 1, block.data(), kBatchRows, d, d, &o);
     }
     benchmark::DoNotOptimize(out.data());
   }
@@ -216,7 +205,9 @@ void BM_DotBatchMulti(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * B * kBatchRows * d);
 }
-BENCHMARK(BM_DotBatchMulti)->Args({32, 2})->Args({32, 4})->Args({32, 8});
+BENCHMARK(BM_DotBatchMulti)
+    ->Args({32, 1})->Args({32, 2})->Args({32, 4})->Args({32, 8})
+    ->Args({128, 1});
 
 void BM_SquaredDistanceBatchRepeatedSingle(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
@@ -226,9 +217,10 @@ void BM_SquaredDistanceBatchRepeatedSingle(benchmark::State& state) {
   std::vector<float> out(B * kBatchRows);
   for (auto _ : state) {
     for (size_t b = 0; b < B; ++b) {
-      NegatedSquaredDistanceBatch(us.data() + b * d, block.data(),
-                                  kBatchRows, d, d,
-                                  out.data() + b * kBatchRows);
+      const float* u = us.data() + b * d;
+      float* o = out.data() + b * kBatchRows;
+      NegatedSquaredDistanceBatchMulti(&u, 1, block.data(), kBatchRows, d, d,
+                                       &o);
     }
     benchmark::DoNotOptimize(out.data());
   }
@@ -257,7 +249,7 @@ void BM_SquaredDistanceBatchMulti(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * B * kBatchRows * d);
 }
 BENCHMARK(BM_SquaredDistanceBatchMulti)
-    ->Args({32, 2})->Args({32, 4})->Args({32, 8});
+    ->Args({32, 1})->Args({32, 2})->Args({32, 4})->Args({32, 8});
 
 void BM_WeightedFacetDotBatchRepeatedSingle(benchmark::State& state) {
   constexpr size_t kf = 4;
@@ -269,9 +261,11 @@ void BM_WeightedFacetDotBatchRepeatedSingle(benchmark::State& state) {
   std::vector<float> out(B * kBatchRows);
   for (auto _ : state) {
     for (size_t b = 0; b < B; ++b) {
-      WeightedFacetDotBatch(us.data() + b * kf * d, d, blocks.data(),
-                            kf * d, d, ws.data() + b * kf, kf, kBatchRows,
-                            d, out.data() + b * kBatchRows);
+      const float* u = us.data() + b * kf * d;
+      const float* w = ws.data() + b * kf;
+      float* o = out.data() + b * kBatchRows;
+      WeightedFacetDotBatchMulti(&u, d, &w, 1, blocks.data(), kf * d, d, kf,
+                                 kBatchRows, d, &o);
     }
     benchmark::DoNotOptimize(out.data());
   }
@@ -304,7 +298,47 @@ void BM_WeightedFacetDotBatchMulti(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * B * kBatchRows * kf * d);
 }
 BENCHMARK(BM_WeightedFacetDotBatchMulti)
-    ->Args({32, 2})->Args({32, 4})->Args({32, 8});
+    ->Args({32, 1})->Args({32, 2})->Args({32, 4})->Args({32, 8});
+
+// The streaming shape: the MARS serving sweep over a 20k-item FacetStore
+// (K = 4 facets of d = 32, 10 MB of item rows), so the block outruns the
+// private caches and every sweep streams it. The in-cache shapes above
+// cannot show what sharing row loads across users saves at this size.
+// Arg is B.
+void BM_WeightedFacetDotBatchMultiStreaming(benchmark::State& state) {
+  constexpr size_t kf = 4, d = 32, kItems = 20000;
+  const size_t B = static_cast<size_t>(state.range(0));
+  FacetStore users(B, kf, d), items(kItems, kf, d);
+  Rng rng(37);
+  for (FacetStore* store : {&users, &items}) {
+    for (size_t e = 0; e < store->num_entities(); ++e) {
+      for (size_t k = 0; k < kf; ++k) {
+        for (size_t i = 0; i < d; ++i) {
+          store->Row(e, k)[i] = static_cast<float>(rng.Normal());
+        }
+      }
+    }
+  }
+  const auto ws = RandomBlock(B, kf, 38);
+  std::vector<float> out(B * kItems);
+  std::vector<const float*> uptr(B), wptr(B);
+  std::vector<float*> optr(B);
+  for (size_t b = 0; b < B; ++b) {
+    uptr[b] = users.EntityBlock(b);
+    wptr[b] = ws.data() + b * kf;
+    optr[b] = out.data() + b * kItems;
+  }
+  for (auto _ : state) {
+    WeightedFacetDotBatchMulti(uptr.data(), users.row_stride(), wptr.data(),
+                               B, items.EntityBlock(0), items.entity_stride(),
+                               items.row_stride(), kf, kItems, d,
+                               optr.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * B * kItems);
+}
+BENCHMARK(BM_WeightedFacetDotBatchMultiStreaming)
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // --- Autovectorized vs AVX2-intrinsic row reductions -----------------------
 // The ROADMAP "SIMD-explicit kernels" comparison: the generic 8-wide

@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
 # One-command gate for this repo: tier-1 verify (configure, build, ctest),
-# the repository benchmark's own tests (perfbench_tests and the
-# perfbench output contract), plus smoke runs of examples/quickstart —
-# serial and with the num_threads=4 Hogwild trainer — so the parallel
-# path is exercised on every build.
+# a smoke run of the kernel microbench, the repository benchmark's own
+# tests (perfbench_tests and the perfbench output contract), plus smoke
+# runs of examples/quickstart — serial and with the num_threads=4 Hogwild
+# trainer — so the parallel path is exercised on every build.
 #
 # Usage: scripts/ci.sh [--san[=thread|address]] [--bench] [build-dir]
 #   (default build-dir: build; --san defaults to thread and uses
 #    build-<sanitizer> unless a build-dir is given)
 #
 # Modes:
-#   (none)    configure + build + ctest + perfbench_tests + perfbench
-#             output test + quickstart smokes
+#   (none)    configure + build + ctest + a microbench_kernels smoke run
+#             (when google-benchmark was found) + perfbench_tests +
+#             perfbench output test + quickstart smokes
 #   --bench   additionally run bench_serve and bench_load; each checks its
 #             own same-run gates (recall, cached/batched/ANN/restart
 #             ratios, refresh cost), prints one `gate ...` line per gate
@@ -159,6 +160,14 @@ done
 
 echo "== ctest =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
+
+if [ "$have_gbench" = 1 ]; then
+  echo "== microbench smoke (multi-user block kernels) =="
+  # Runs the block-kernel timings once, briefly, so the harness keeps
+  # building and running; gates on the exit status only, never on timings.
+  "$BUILD_DIR"/microbench_kernels --benchmark_filter=BatchMulti \
+    --benchmark_min_time=0.01
+fi
 
 echo "== perfbench tests =="
 # perfbench/ is a standalone CMake package (it compiles src/ itself), so it

@@ -205,62 +205,42 @@ void SphericalIvfIndex::RebuildLists() {
 
 void SphericalIvfIndex::Probe(const float* query, size_t want,
                               std::vector<ItemId>* out) const {
-  if (want >= num_items_) {
-    const size_t base = out->size();
-    out->resize(base + num_items_);
-    for (size_t v = 0; v < num_items_; ++v) {
-      (*out)[base + v] = static_cast<ItemId>(v);
-    }
-    return;
-  }
-  static thread_local std::vector<float> cdots;
-  cdots.resize(num_centroids_);
-  DotBatch(query, centroids_.data(), num_centroids_, dim_, dim_,
-           cdots.data());
-  AppendBestLists(cdots.data(), want, out);
-}
-
-void SphericalIvfIndex::AppendBestLists(const float* cdots, size_t want,
-                                        std::vector<ItemId>* out) const {
-  static thread_local std::vector<uint32_t> order;
-  order.resize(num_centroids_);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return cdots[a] > cdots[b] || (cdots[a] == cdots[b] && a < b);
-  });
-  // nprobe lists minimum; keep extending into next-best lists until the
-  // requested candidate count is met (lists are disjoint, so appended ids
-  // stay unique).
-  size_t appended = 0;
-  for (size_t i = 0; i < num_centroids_; ++i) {
-    if (i >= nprobe_ && appended >= want) break;
-    const auto list = List(order[i]);
-    out->insert(out->end(), list.begin(), list.end());
-    appended += list.size();
-  }
+  ProbeEach(query, 1, &want, &out);
 }
 
 void SphericalIvfIndex::ProbeBatch(const float* queries, size_t num_queries,
                                    const size_t* want,
                                    std::vector<std::vector<ItemId>>* out) const {
+  static thread_local std::vector<std::vector<ItemId>*> outs;
+  outs.resize(num_queries);
+  for (size_t q = 0; q < num_queries; ++q) outs[q] = &(*out)[q];
+  ProbeEach(queries, num_queries, want, outs.data());
+}
+
+void SphericalIvfIndex::ProbeEach(const float* queries, size_t num_queries,
+                                  const size_t* want,
+                                  std::vector<ItemId>* const* out) const {
   if (num_queries == 0) return;
   // One multi-query pass over the centroid matrix scores every query's
-  // centroid dots (each centroid row is loaded once per query quad); the
-  // per-query list walk is then identical to Probe, so each query's
-  // candidate set is bit-identical to its solo probe.
+  // centroid dots (each centroid row is loaded once per call), then each
+  // query walks its own centroid ranking.
   static thread_local std::vector<float> all_dots;
+  static thread_local std::vector<const float*> qs;
+  static thread_local std::vector<float*> dots;
   all_dots.resize(num_queries * num_centroids_);
-  std::vector<const float*> qs(num_queries);
-  std::vector<float*> dots(num_queries);
+  qs.resize(num_queries);
+  dots.resize(num_queries);
   for (size_t q = 0; q < num_queries; ++q) {
     qs[q] = queries + q * dim_;
     dots[q] = all_dots.data() + q * num_centroids_;
   }
   DotBatchMulti(qs.data(), num_queries, centroids_.data(), num_centroids_,
                 dim_, dim_, dots.data());
+  static thread_local std::vector<uint32_t> order;
+  order.resize(num_centroids_);
   for (size_t q = 0; q < num_queries; ++q) {
+    std::vector<ItemId>& dst = *out[q];
     if (want[q] >= num_items_) {
-      auto& dst = (*out)[q];
       const size_t base = dst.size();
       dst.resize(base + num_items_);
       for (size_t v = 0; v < num_items_; ++v) {
@@ -268,7 +248,21 @@ void SphericalIvfIndex::ProbeBatch(const float* queries, size_t num_queries,
       }
       continue;
     }
-    AppendBestLists(dots[q], want[q], &(*out)[q]);
+    // Centroids by descending dot, ties to the lower index; nprobe lists
+    // minimum, extended into next-best lists until `want` is met (lists
+    // are disjoint, so appended ids stay unique).
+    const float* cdots = dots[q];
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return cdots[a] > cdots[b] || (cdots[a] == cdots[b] && a < b);
+    });
+    size_t appended = 0;
+    for (size_t i = 0; i < num_centroids_; ++i) {
+      if (i >= nprobe_ && appended >= want[q]) break;
+      const auto list = List(order[i]);
+      dst.insert(dst.end(), list.begin(), list.end());
+      appended += list.size();
+    }
   }
 }
 

@@ -9,13 +9,14 @@
 // spherical optimization serves up: MARS facet rows live on unit spheres
 // where cosine == dot, and BPR's bias-augmented vectors rank by dot.
 //
-// A probe scores the query against every centroid (one DotBatch over a
-// few hundred rows), takes the nprobe best lists, and concatenates their
-// item ids — lists are disjoint, and the server re-ranks with exact model
-// scores, so no per-candidate ordering work happens here. When the
-// requested candidate count exceeds the nprobe lists' total population
-// the probe keeps taking next-best lists, so exclusion-heavy queries
-// degrade toward the full catalog instead of returning short.
+// A probe scores the query against every centroid (one DotBatchMulti pass
+// over a few hundred rows, shared by every query of a batch), takes the
+// nprobe best lists, and concatenates their item ids — lists are
+// disjoint, and the server re-ranks with exact model scores, so no
+// per-candidate ordering work happens here. When the requested candidate
+// count exceeds the nprobe lists' total population the probe keeps
+// taking next-best lists, so exclusion-heavy queries degrade toward the
+// full catalog instead of returning short.
 //
 // Rebuilt() implements the incremental maintenance contract: centroids
 // are *kept*, only rows in dirty shards are re-read and re-assigned
@@ -63,8 +64,9 @@ class SphericalIvfIndex : public CandidateIndex {
              std::vector<ItemId>* out) const override;
   /// Shared-scan batch probe: all queries' centroid dots come from one
   /// multi-query pass over the centroid matrix (each centroid row loaded
-  /// once per query quad), then the per-query list walk runs exactly as
-  /// in Probe — candidate sets are bit-identical to sequential probes.
+  /// once per call), then each query walks its own lists. Probe is the
+  /// same body at one query, so candidate sets are bit-identical to
+  /// sequential probes.
   void ProbeBatch(const float* queries, size_t num_queries,
                   const size_t* want,
                   std::vector<std::vector<ItemId>>* out) const override;
@@ -96,11 +98,13 @@ class SphericalIvfIndex : public CandidateIndex {
   /// out ascending within each list).
   void RebuildLists();
 
-  /// The list walk shared by Probe and ProbeBatch: ranks centroids by
-  /// the precomputed query-centroid dots (ties to the lower index) and
-  /// appends lists until both nprobe and `want` are met.
-  void AppendBestLists(const float* cdots, size_t want,
-                       std::vector<ItemId>* out) const;
+  /// The probe body behind Probe (a batch of one) and ProbeBatch: one
+  /// DotBatchMulti pass over the centroids for all queries, then per query
+  /// the centroids ranked by dot (ties to the lower index) and lists
+  /// appended to *out[q] until both nprobe and want[q] are met; a want
+  /// that covers the catalog appends every item instead.
+  void ProbeEach(const float* queries, size_t num_queries, const size_t* want,
+                 std::vector<ItemId>* const* out) const;
 
   size_t num_centroids_ = 0;
   size_t nprobe_ = 0;

@@ -1,6 +1,7 @@
 #include "common/kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -24,26 +25,9 @@ using kernels_detail::SquaredDistanceRowGeneric;
 #if MARS_KERNELS_HAVE_AVX2
 
 using kernels_detail::DotRowAvx2;
-using kernels_detail::DotRowAvx2X4;
+using kernels_detail::DotRowsAvx2;
 using kernels_detail::SquaredDistanceRowAvx2;
-using kernels_detail::SquaredDistanceRowAvx2X4;
-
-MARS_AVX2_FN void DotBatchAvx2(const float* u, const float* rows,
-                               size_t count, size_t stride, size_t n,
-                               float* out) {
-  for (size_t r = 0; r < count; ++r) {
-    out[r] = DotRowAvx2(u, rows + r * stride, n);
-  }
-}
-
-MARS_AVX2_FN void NegatedSquaredDistanceBatchAvx2(const float* u,
-                                                  const float* rows,
-                                                  size_t count, size_t stride,
-                                                  size_t n, float* out) {
-  for (size_t r = 0; r < count; ++r) {
-    out[r] = -SquaredDistanceRowAvx2(u, rows + r * stride, n);
-  }
-}
+using kernels_detail::SquaredDistanceRowsAvx2;
 
 MARS_AVX2_FN void DotGatherAvx2(const float* u, const float* base,
                                 size_t stride, const uint32_t* ids,
@@ -61,148 +45,157 @@ MARS_AVX2_FN void NegatedSquaredDistanceGatherAvx2(
   }
 }
 
-MARS_AVX2_FN float WeightedFacetDotAvx2(const float* u, size_t u_stride,
+/// J users' fused facet scores against one candidate entity block `v`:
+/// score[j] = Σ_k ws[j][k] · <row op>(us[j] + k·u_stride, v + k·v_stride),
+/// the row op a dot or (kDistance) a squared distance. J = 1 is the
+/// per-row primitive WeightedFacetDot/WeightedFacetSquaredDistance run.
+template <size_t J, bool kDistance>
+MARS_AVX2_INLINE void WeightedFacetRowsAvx2(
+    const float* const* us, size_t u_stride, const float* const* ws,
+    const float* v, size_t v_stride, size_t num_facets, size_t n,
+    float* score) {
+  for (size_t j = 0; j < J; ++j) score[j] = 0.0f;
+  for (size_t k = 0; k < num_facets; ++k) {
+    const float* uk[J];
+    for (size_t j = 0; j < J; ++j) uk[j] = us[j] + k * u_stride;
+    float d[J];
+    if constexpr (kDistance) {
+      SquaredDistanceRowsAvx2<J>(uk, v + k * v_stride, n, d);
+    } else {
+      DotRowsAvx2<J>(uk, v + k * v_stride, n, d);
+    }
+    for (size_t j = 0; j < J; ++j) score[j] += ws[j][k] * d[j];
+  }
+}
+
+template <bool kDistance>
+MARS_AVX2_FN float WeightedFacetRowAvx2(const float* u, size_t u_stride,
                                         const float* v, size_t v_stride,
                                         const float* w, size_t num_facets,
                                         size_t n) {
-  float score = 0.0f;
-  for (size_t k = 0; k < num_facets; ++k) {
-    score += w[k] * DotRowAvx2(u + k * u_stride, v + k * v_stride, n);
-  }
+  float score;
+  WeightedFacetRowsAvx2<1, kDistance>(&u, u_stride, &w, v, v_stride,
+                                      num_facets, n, &score);
   return score;
 }
 
-MARS_AVX2_FN float WeightedFacetSquaredDistanceAvx2(
-    const float* u, size_t u_stride, const float* v, size_t v_stride,
-    const float* w, size_t num_facets, size_t n) {
-  float score = 0.0f;
-  for (size_t k = 0; k < num_facets; ++k) {
-    score +=
-        w[k] * SquaredDistanceRowAvx2(u + k * u_stride, v + k * v_stride, n);
-  }
-  return score;
-}
+// Multi-user batch loops: candidate rows in the outer loop, so each row is
+// loaded once per call and shared by every user tile — whole quads, then
+// one tile of the R = B mod 4 remaining users. Whether there are quads and
+// R are template arguments (the public kernels pick the instance once per
+// call) and the remainder tile's pointers are hoisted out of the row loop,
+// so a batch of one compiles to the single-user row loop: no quad code,
+// no per-row dispatch. Every tile width runs each user's identical op
+// sequence, so lane b is bit-identical to the per-row primitive for user b.
 
-MARS_AVX2_FN void WeightedFacetDotBatchAvx2(const float* u, size_t u_stride,
-                                            const float* blocks,
-                                            size_t block_stride,
-                                            size_t row_stride, const float* w,
-                                            size_t num_facets, size_t count,
-                                            size_t n, float* out) {
-  for (size_t r = 0; r < count; ++r) {
-    out[r] = WeightedFacetDotAvx2(u, u_stride, blocks + r * block_stride,
-                                  row_stride, w, num_facets, n);
-  }
-}
-
-MARS_AVX2_FN void WeightedFacetSquaredDistanceBatchAvx2(
-    const float* u, size_t u_stride, const float* blocks, size_t block_stride,
-    size_t row_stride, const float* w, size_t num_facets, size_t count,
-    size_t n, float* out) {
-  for (size_t r = 0; r < count; ++r) {
-    out[r] = WeightedFacetSquaredDistanceAvx2(u, u_stride,
-                                              blocks + r * block_stride,
-                                              row_stride, w, num_facets, n);
+/// Users [0, J) of the tile against one candidate row, into column r.
+template <size_t J, bool kDistance>
+MARS_AVX2_INLINE void RowTileAvx2(const float* const* us, const float* row,
+                                 size_t n, size_t r, float* const* out) {
+  float s[J];
+  if constexpr (kDistance) {
+    SquaredDistanceRowsAvx2<J>(us, row, n, s);
+    for (size_t j = 0; j < J; ++j) out[j][r] = -s[j];
+  } else {
+    DotRowsAvx2<J>(us, row, n, s);
+    for (size_t j = 0; j < J; ++j) out[j][r] = s[j];
   }
 }
 
-// Multi-user batch loops: candidate rows in the outer loop so each row is
-// loaded once per user quad (DotRowAvx2X4 / SquaredDistanceRowAvx2X4 share
-// the row's vector loads across four FMA chains); the B mod 4 remainder
-// users run the single-user row primitive. Per user both shapes execute
-// the identical op sequence, keeping every lane bit-identical to the
-// single-user kernel.
-
-MARS_AVX2_FN void DotBatchMultiAvx2(const float* const* us, size_t num_users,
+template <bool kQuads, size_t R, bool kDistance>
+MARS_AVX2_FN void RowBatchMultiAvx2(const float* const* us, size_t num_users,
                                     const float* rows, size_t count,
                                     size_t stride, size_t n,
                                     float* const* out) {
-  const size_t quads = num_users & ~static_cast<size_t>(3);
-  for (size_t r = 0; r < count; ++r) {
-    const float* row = rows + r * stride;
-    size_t b = 0;
-    for (; b < quads; b += 4) {
-      float s[4];
-      DotRowAvx2X4(us + b, row, n, s);
-      for (size_t j = 0; j < 4; ++j) out[b + j][r] = s[j];
-    }
-    for (; b < num_users; ++b) out[b][r] = DotRowAvx2(us[b], row, n);
+  const size_t quads = kQuads ? num_users - R : 0;
+  std::array<const float*, R> rest_us;
+  std::array<float*, R> rest_out;
+  for (size_t j = 0; j < R; ++j) {
+    rest_us[j] = us[quads + j];
+    rest_out[j] = out[quads + j];
   }
-}
-
-MARS_AVX2_FN void NegatedSquaredDistanceBatchMultiAvx2(
-    const float* const* us, size_t num_users, const float* rows, size_t count,
-    size_t stride, size_t n, float* const* out) {
-  const size_t quads = num_users & ~static_cast<size_t>(3);
   for (size_t r = 0; r < count; ++r) {
     const float* row = rows + r * stride;
-    size_t b = 0;
-    for (; b < quads; b += 4) {
-      float s[4];
-      SquaredDistanceRowAvx2X4(us + b, row, n, s);
-      for (size_t j = 0; j < 4; ++j) out[b + j][r] = -s[j];
+    if constexpr (kQuads) {
+      for (size_t b = 0; b < quads; b += 4) {
+        RowTileAvx2<4, kDistance>(us + b, row, n, r, out + b);
+      }
     }
-    for (; b < num_users; ++b) {
-      out[b][r] = -SquaredDistanceRowAvx2(us[b], row, n);
+    if constexpr (R > 0) {
+      RowTileAvx2<R, kDistance>(rest_us.data(), row, n, r, rest_out.data());
     }
   }
 }
 
-MARS_AVX2_FN void WeightedFacetDotBatchMultiAvx2(
+/// Users [0, J) of the tile against one candidate entity block.
+template <size_t J, bool kDistance>
+MARS_AVX2_INLINE void WeightedFacetTileAvx2(
+    const float* const* us, size_t u_stride, const float* const* ws,
+    const float* block, size_t row_stride, size_t num_facets, size_t n,
+    size_t r, float* const* out) {
+  float s[J];
+  WeightedFacetRowsAvx2<J, kDistance>(us, u_stride, ws, block, row_stride,
+                                      num_facets, n, s);
+  for (size_t j = 0; j < J; ++j) out[j][r] = s[j];
+}
+
+template <bool kQuads, size_t R, bool kDistance>
+MARS_AVX2_FN void WeightedFacetBatchMultiAvx2(
     const float* const* us, size_t u_stride, const float* const* ws,
     size_t num_users, const float* blocks, size_t block_stride,
     size_t row_stride, size_t num_facets, size_t count, size_t n,
     float* const* out) {
-  const size_t quads = num_users & ~static_cast<size_t>(3);
+  const size_t quads = kQuads ? num_users - R : 0;
+  std::array<const float*, R> rest_us, rest_ws;
+  std::array<float*, R> rest_out;
+  for (size_t j = 0; j < R; ++j) {
+    rest_us[j] = us[quads + j];
+    rest_ws[j] = ws[quads + j];
+    rest_out[j] = out[quads + j];
+  }
   for (size_t r = 0; r < count; ++r) {
     const float* block = blocks + r * block_stride;
-    size_t b = 0;
-    for (; b < quads; b += 4) {
-      float score[4] = {0.0f, 0.0f, 0.0f, 0.0f};
-      for (size_t k = 0; k < num_facets; ++k) {
-        const float* uf[4] = {us[b] + k * u_stride, us[b + 1] + k * u_stride,
-                              us[b + 2] + k * u_stride,
-                              us[b + 3] + k * u_stride};
-        float d[4];
-        DotRowAvx2X4(uf, block + k * row_stride, n, d);
-        for (size_t j = 0; j < 4; ++j) score[j] += ws[b + j][k] * d[j];
+    if constexpr (kQuads) {
+      for (size_t b = 0; b < quads; b += 4) {
+        WeightedFacetTileAvx2<4, kDistance>(us + b, u_stride, ws + b, block,
+                                            row_stride, num_facets, n, r,
+                                            out + b);
       }
-      for (size_t j = 0; j < 4; ++j) out[b + j][r] = score[j];
     }
-    for (; b < num_users; ++b) {
-      out[b][r] = WeightedFacetDotAvx2(us[b], u_stride, block, row_stride,
-                                       ws[b], num_facets, n);
+    if constexpr (R > 0) {
+      WeightedFacetTileAvx2<R, kDistance>(
+          rest_us.data(), u_stride, rest_ws.data(), block, row_stride,
+          num_facets, n, r, rest_out.data());
     }
   }
 }
 
-MARS_AVX2_FN void WeightedFacetSquaredDistanceBatchMultiAvx2(
-    const float* const* us, size_t u_stride, const float* const* ws,
-    size_t num_users, const float* blocks, size_t block_stride,
-    size_t row_stride, size_t num_facets, size_t count, size_t n,
-    float* const* out) {
-  const size_t quads = num_users & ~static_cast<size_t>(3);
-  for (size_t r = 0; r < count; ++r) {
-    const float* block = blocks + r * block_stride;
-    size_t b = 0;
-    for (; b < quads; b += 4) {
-      float score[4] = {0.0f, 0.0f, 0.0f, 0.0f};
-      for (size_t k = 0; k < num_facets; ++k) {
-        const float* uf[4] = {us[b] + k * u_stride, us[b + 1] + k * u_stride,
-                              us[b + 2] + k * u_stride,
-                              us[b + 3] + k * u_stride};
-        float d[4];
-        SquaredDistanceRowAvx2X4(uf, block + k * row_stride, n, d);
-        for (size_t j = 0; j < 4; ++j) score[j] += ws[b + j][k] * d[j];
-      }
-      for (size_t j = 0; j < 4; ++j) out[b + j][r] = score[j];
-    }
-    for (; b < num_users; ++b) {
-      out[b][r] = WeightedFacetSquaredDistanceAvx2(
-          us[b], u_stride, block, row_stride, ws[b], num_facets, n);
-    }
-  }
-}
+/// The instances by [B >= 4][B mod 4], for the public kernels' one-time
+/// pick. Measured on the 1024-row d = 32 dot sweep: with the quad loop
+/// compiled into the B < 4 bodies, B = 1 spilled its pointers and ran
+/// ~25% slower than the plain one-user loop; without it, it matches.
+template <bool kDistance>
+constexpr decltype(&RowBatchMultiAvx2<false, 0, kDistance>)
+    kRowBatchMultiAvx2[2][4] = {
+        {RowBatchMultiAvx2<false, 0, kDistance>,
+         RowBatchMultiAvx2<false, 1, kDistance>,
+         RowBatchMultiAvx2<false, 2, kDistance>,
+         RowBatchMultiAvx2<false, 3, kDistance>},
+        {RowBatchMultiAvx2<true, 0, kDistance>,
+         RowBatchMultiAvx2<true, 1, kDistance>,
+         RowBatchMultiAvx2<true, 2, kDistance>,
+         RowBatchMultiAvx2<true, 3, kDistance>}};
+template <bool kDistance>
+constexpr decltype(&WeightedFacetBatchMultiAvx2<false, 0, kDistance>)
+    kWeightedFacetBatchMultiAvx2[2][4] = {
+        {WeightedFacetBatchMultiAvx2<false, 0, kDistance>,
+         WeightedFacetBatchMultiAvx2<false, 1, kDistance>,
+         WeightedFacetBatchMultiAvx2<false, 2, kDistance>,
+         WeightedFacetBatchMultiAvx2<false, 3, kDistance>},
+        {WeightedFacetBatchMultiAvx2<true, 0, kDistance>,
+         WeightedFacetBatchMultiAvx2<true, 1, kDistance>,
+         WeightedFacetBatchMultiAvx2<true, 2, kDistance>,
+         WeightedFacetBatchMultiAvx2<true, 3, kDistance>}};
 
 // IVF assignment as a register-tiled argmax. The centroids are packed
 // once per call into 8-centroid column panels (dim d of centroid 8p+j at
@@ -350,19 +343,6 @@ MARS_AVX2_FN void NearestCentroidDotBatchAvx2(
 
 }  // namespace
 
-void DotBatch(const float* u, const float* rows, size_t count, size_t stride,
-              size_t n, float* out) {
-#if MARS_KERNELS_HAVE_AVX2
-  if (HasAvx2Fma()) {
-    DotBatchAvx2(u, rows, count, stride, n, out);
-    return;
-  }
-#endif
-  for (size_t r = 0; r < count; ++r) {
-    out[r] = DotRowGeneric(u, rows + r * stride, n);
-  }
-}
-
 void DotGather(const float* u, const float* base, size_t stride,
                const uint32_t* ids, size_t count, size_t n, float* out) {
 #if MARS_KERNELS_HAVE_AVX2
@@ -395,7 +375,8 @@ float WeightedFacetDot(const float* u, size_t u_stride, const float* v,
                        size_t n) {
 #if MARS_KERNELS_HAVE_AVX2
   if (HasAvx2Fma()) {
-    return WeightedFacetDotAvx2(u, u_stride, v, v_stride, w, num_facets, n);
+    return WeightedFacetRowAvx2<false>(u, u_stride, v, v_stride, w,
+                                       num_facets, n);
   }
 #endif
   float score = 0.0f;
@@ -411,8 +392,8 @@ float WeightedFacetSquaredDistance(const float* u, size_t u_stride,
                                    size_t n) {
 #if MARS_KERNELS_HAVE_AVX2
   if (HasAvx2Fma()) {
-    return WeightedFacetSquaredDistanceAvx2(u, u_stride, v, v_stride, w,
-                                            num_facets, n);
+    return WeightedFacetRowAvx2<true>(u, u_stride, v, v_stride, w,
+                                      num_facets, n);
   }
 #endif
   float score = 0.0f;
@@ -421,20 +402,6 @@ float WeightedFacetSquaredDistance(const float* u, size_t u_stride,
                                               v + k * v_stride, n);
   }
   return score;
-}
-
-void NegatedSquaredDistanceBatch(const float* u, const float* rows,
-                                 size_t count, size_t stride, size_t n,
-                                 float* out) {
-#if MARS_KERNELS_HAVE_AVX2
-  if (HasAvx2Fma()) {
-    NegatedSquaredDistanceBatchAvx2(u, rows, count, stride, n, out);
-    return;
-  }
-#endif
-  for (size_t r = 0; r < count; ++r) {
-    out[r] = -SquaredDistanceRowGeneric(u, rows + r * stride, n);
-  }
 }
 
 void NearestCentroidDotBatch(const float* rows, size_t count, size_t stride,
@@ -464,36 +431,14 @@ void NearestCentroidDotBatch(const float* rows, size_t count, size_t stride,
   }
 }
 
-void WeightedFacetDotBatch(const float* u, size_t u_stride,
-                           const float* blocks, size_t block_stride,
-                           size_t row_stride, const float* w,
-                           size_t num_facets, size_t count, size_t n,
-                           float* out) {
-#if MARS_KERNELS_HAVE_AVX2
-  if (HasAvx2Fma()) {
-    WeightedFacetDotBatchAvx2(u, u_stride, blocks, block_stride, row_stride,
-                              w, num_facets, count, n, out);
-    return;
-  }
-#endif
-  for (size_t r = 0; r < count; ++r) {
-    const float* block = blocks + r * block_stride;
-    float score = 0.0f;
-    for (size_t k = 0; k < num_facets; ++k) {
-      score += w[k] * DotRowGeneric(u + k * u_stride, block + k * row_stride,
-                                    n);
-    }
-    out[r] = score;
-  }
-}
-
 void DotBatchMulti(const float* const* us, size_t num_users,
                    const float* rows, size_t count, size_t stride, size_t n,
                    float* const* out) {
   if (num_users == 0 || count == 0) return;
 #if MARS_KERNELS_HAVE_AVX2
   if (HasAvx2Fma()) {
-    DotBatchMultiAvx2(us, num_users, rows, count, stride, n, out);
+    kRowBatchMultiAvx2<false>[num_users >= 4][num_users % 4](
+        us, num_users, rows, count, stride, n, out);
     return;
   }
 #endif
@@ -514,8 +459,8 @@ void NegatedSquaredDistanceBatchMulti(const float* const* us,
   if (num_users == 0 || count == 0) return;
 #if MARS_KERNELS_HAVE_AVX2
   if (HasAvx2Fma()) {
-    NegatedSquaredDistanceBatchMultiAvx2(us, num_users, rows, count, stride,
-                                         n, out);
+    kRowBatchMultiAvx2<true>[num_users >= 4][num_users % 4](
+        us, num_users, rows, count, stride, n, out);
     return;
   }
 #endif
@@ -535,9 +480,9 @@ void WeightedFacetDotBatchMulti(const float* const* us, size_t u_stride,
   if (num_users == 0 || count == 0) return;
 #if MARS_KERNELS_HAVE_AVX2
   if (HasAvx2Fma()) {
-    WeightedFacetDotBatchMultiAvx2(us, u_stride, ws, num_users, blocks,
-                                   block_stride, row_stride, num_facets,
-                                   count, n, out);
+    kWeightedFacetBatchMultiAvx2<false>[num_users >= 4][num_users % 4](
+        us, u_stride, ws, num_users, blocks, block_stride, row_stride,
+        num_facets, count, n, out);
     return;
   }
 #endif
@@ -562,10 +507,9 @@ void WeightedFacetSquaredDistanceBatchMulti(
   if (num_users == 0 || count == 0) return;
 #if MARS_KERNELS_HAVE_AVX2
   if (HasAvx2Fma()) {
-    WeightedFacetSquaredDistanceBatchMultiAvx2(us, u_stride, ws, num_users,
-                                               blocks, block_stride,
-                                               row_stride, num_facets, count,
-                                               n, out);
+    kWeightedFacetBatchMultiAvx2<true>[num_users >= 4][num_users % 4](
+        us, u_stride, ws, num_users, blocks, block_stride, row_stride,
+        num_facets, count, n, out);
     return;
   }
 #endif
@@ -580,30 +524,6 @@ void WeightedFacetSquaredDistanceBatchMulti(
       }
       out[b][r] = score;
     }
-  }
-}
-
-void WeightedFacetSquaredDistanceBatch(const float* u, size_t u_stride,
-                                       const float* blocks,
-                                       size_t block_stride, size_t row_stride,
-                                       const float* w, size_t num_facets,
-                                       size_t count, size_t n, float* out) {
-#if MARS_KERNELS_HAVE_AVX2
-  if (HasAvx2Fma()) {
-    WeightedFacetSquaredDistanceBatchAvx2(u, u_stride, blocks, block_stride,
-                                          row_stride, w, num_facets, count, n,
-                                          out);
-    return;
-  }
-#endif
-  for (size_t r = 0; r < count; ++r) {
-    const float* block = blocks + r * block_stride;
-    float score = 0.0f;
-    for (size_t k = 0; k < num_facets; ++k) {
-      score += w[k] * SquaredDistanceRowGeneric(u + k * u_stride,
-                                                block + k * row_stride, n);
-    }
-    out[r] = score;
   }
 }
 

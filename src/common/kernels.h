@@ -23,10 +23,6 @@
 
 namespace mars {
 
-/// out[i] = Dot(u, rows + i*stride) for i in [0, count).
-void DotBatch(const float* u, const float* rows, size_t count, size_t stride,
-              size_t n, float* out);
-
 /// Gather variants: candidate i lives at `base + ids[i] * stride`. These are
 /// the ScoreItems shapes — the evaluator hands models an arbitrary id list.
 void DotGather(const float* u, const float* base, size_t stride,
@@ -39,20 +35,19 @@ void NegatedSquaredDistanceGather(const float* u, const float* base,
                                   size_t stride, const uint32_t* ids,
                                   size_t count, size_t n, float* out);
 
-/// Contiguous-block form of the above: out[i] = -||u - row_i||² for i in
-/// [0, count) — the metric models' full-catalog serving sweep.
-void NegatedSquaredDistanceBatch(const float* u, const float* rows,
-                                 size_t count, size_t stride, size_t n,
-                                 float* out);
-
-/// Multi-user forms: `num_users` query rows swept against one contiguous
-/// candidate block, each candidate row loaded once and applied to every
-/// user (register-blocked over user quads in the AVX2 path). `us[b]`
-/// points at user b's row; `out[b]` receives that user's `count` scores.
-/// Contract: out[b][i] is bit-identical to the corresponding single-user
-/// batch kernel — per user the reduction runs the same row primitive in
-/// the same order, so a batched multi-user sweep ranks exactly like B
-/// solo sweeps (the serve-layer batch≡solo guarantee rides on this).
+/// Block forms, one per family: `num_users` query rows swept against one
+/// contiguous candidate block (rows `stride` floats apart), each candidate
+/// row loaded once and applied to every user (register-blocked over user
+/// tiles in the AVX2 path). `us[b]` points at user b's row; `out[b]`
+/// receives that user's `count` scores: Dot(us[b], row_i), or
+/// -||us[b] - row_i||² in the metric models' NegatedSquaredDistanceBatchMulti.
+/// A batch of one (num_users == 1) is the single-user full-catalog sweep;
+/// num_users == 0 or count == 0 writes nothing.
+/// Contract: each lane is bit-identical to the per-row primitive — out[b][i]
+/// equals DotGather / NegatedSquaredDistanceGather of user b at row i, for
+/// any num_users — so a multi-user sweep ranks exactly like B one-user
+/// sweeps and like ScoreItems (the serve-layer batch≡solo guarantee rides
+/// on this).
 void DotBatchMulti(const float* const* us, size_t num_users,
                    const float* rows, size_t count, size_t stride, size_t n,
                    float* const* out);
@@ -71,8 +66,8 @@ void NegatedSquaredDistanceBatchMulti(const float* const* us,
 /// or which thread runs them, so any split of a block (serial or over a
 /// pool) assigns bit-identically. The AVX2 path reduces each (row,
 /// centroid) dot in one FMA chain over the dims, which rounds differently
-/// from DotBatch: its dots pick a centroid and must never stand in for a
-/// score.
+/// from DotBatchMulti: its dots pick a centroid and must never stand in for
+/// a score.
 void NearestCentroidDotBatch(const float* rows, size_t count, size_t stride,
                              const float* centroids, size_t num_centroids,
                              size_t centroid_stride, size_t n, uint32_t* out);
@@ -91,28 +86,17 @@ float WeightedFacetSquaredDistance(const float* u, size_t u_stride,
                                    const float* w, size_t num_facets,
                                    size_t n);
 
-/// Full-catalog forms of the fused facet scores: one user entity block
-/// swept against `count` consecutive entity blocks starting at `blocks`
-/// (blocks are `block_stride` floats apart, facet rows `row_stride` apart
-/// within a block — FacetStore::entity_stride()/row_stride()). These are
-/// the MARS/MAR serving sweeps over the contiguous item store.
-void WeightedFacetDotBatch(const float* u, size_t u_stride,
-                           const float* blocks, size_t block_stride,
-                           size_t row_stride, const float* w,
-                           size_t num_facets, size_t count, size_t n,
-                           float* out);
-void WeightedFacetSquaredDistanceBatch(const float* u, size_t u_stride,
-                                       const float* blocks,
-                                       size_t block_stride, size_t row_stride,
-                                       const float* w, size_t num_facets,
-                                       size_t count, size_t n, float* out);
-
-/// Multi-user forms of the fused facet sweeps: `num_users` user entity
-/// blocks (us[b], each with facet rows u_stride apart) against `count`
-/// consecutive candidate blocks, with a *per-user* facet weight vector
-/// ws[b] (MARS bakes each user's Θ·radii into it). Each candidate facet
-/// row is loaded once per user quad. Same bit-identity contract as
-/// DotBatchMulti: out[b] matches the single-user WeightedFacet*Batch call.
+/// Block forms of the fused facet scores — the MARS/MAR serving sweeps over
+/// the contiguous item store: `num_users` user entity blocks (us[b], each
+/// with facet rows u_stride apart) against `count` consecutive candidate
+/// entity blocks starting at `blocks` (blocks `block_stride` floats apart,
+/// facet rows `row_stride` apart within a block —
+/// FacetStore::entity_stride()/row_stride()), with a *per-user* facet
+/// weight vector ws[b] (MARS bakes each user's Θ·radii into it). Each
+/// candidate facet row is loaded once per call and shared by every user
+/// tile. Same lane contract as DotBatchMulti: out[b][i] is bit-identical
+/// to WeightedFacetDot / WeightedFacetSquaredDistance of user b against
+/// block i.
 void WeightedFacetDotBatchMulti(const float* const* us, size_t u_stride,
                                 const float* const* ws, size_t num_users,
                                 const float* blocks, size_t block_stride,

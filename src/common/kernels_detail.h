@@ -69,6 +69,11 @@ inline float SquaredDistanceRowGeneric(const float* a, const float* b,
 #if MARS_KERNELS_HAVE_AVX2
 
 #define MARS_AVX2_FN __attribute__((target("avx2,fma")))
+// The row primitives are forced inline: the batch loops keep their user
+// and output pointers in registers across rows only when the primitive's
+// body is part of the loop.
+#define MARS_AVX2_INLINE \
+  __attribute__((target("avx2,fma"), always_inline)) inline
 
 /// True when the running CPU supports the avx2+fma code paths. One check,
 /// cached — all dispatch flows through here so a process never mixes the
@@ -88,100 +93,58 @@ MARS_AVX2_FN inline float Hsum256(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
-MARS_AVX2_FN inline float DotRowAvx2(const float* a, const float* b,
-                                     size_t n) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                           acc0);
-    acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i + 8),
-                           _mm256_loadu_ps(b + i + 8), acc1);
-  }
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                           acc0);
-  }
-  float s = Hsum256(_mm256_add_ps(acc0, acc1));
-  for (; i < n; ++i) s += a[i] * b[i];
-  return s;
-}
+// Row primitives over J query rows that share one candidate row `b`,
+// register-blocked: each of b's vectors is loaded once per 16-float step
+// and fed to all J users' FMA chains (at J = 4: 8 ymm accumulators + 2 row
+// registers). Per user the op sequence is the same at every J (two
+// accumulator FMA chains, Hsum256, scalar tail), so lane j is
+// bit-identical to the J = 1 form — the per-row primitive that the gather
+// kernels run, and the lane contract of every multi-user kernel.
 
-MARS_AVX2_FN inline float SquaredDistanceRowAvx2(const float* a,
-                                                 const float* b, size_t n) {
-  __m256 acc0 = _mm256_setzero_ps();
-  __m256 acc1 = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256 d0 =
-        _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
-    const __m256 d1 = _mm256_sub_ps(_mm256_loadu_ps(a + i + 8),
-                                    _mm256_loadu_ps(b + i + 8));
-    acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-    acc1 = _mm256_fmadd_ps(d1, d1, acc1);
+template <size_t J>
+MARS_AVX2_INLINE void DotRowsAvx2(const float* const* a, const float* b,
+                                 size_t n, float* out) {
+  __m256 acc0[J], acc1[J];
+  for (size_t j = 0; j < J; ++j) {
+    acc0[j] = _mm256_setzero_ps();
+    acc1[j] = _mm256_setzero_ps();
   }
-  for (; i + 8 <= n; i += 8) {
-    const __m256 d0 =
-        _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
-    acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-  }
-  float s = Hsum256(_mm256_add_ps(acc0, acc1));
-  for (; i < n; ++i) {
-    const float dlt = a[i] - b[i];
-    s += dlt * dlt;
-  }
-  return s;
-}
-
-// Multi-user AVX2 forms: four query rows against one shared candidate row,
-// register-blocked — the row's vectors are loaded once per 16-float stride
-// and fed to all four users' FMA chains (8 ymm accumulators + 2 row
-// registers). Per user, the op sequence is *identical* to the single-user
-// primitive (same two-accumulator FMA chains, same Hsum256, same scalar
-// tail), so each lane of `out` is bit-identical to the corresponding solo
-// call — the batch≡solo contract TopKServer::TopKBatch pins.
-
-MARS_AVX2_FN inline void DotRowAvx2X4(const float* const* a, const float* b,
-                                      size_t n, float* out) {
-  __m256 acc0[4] = {_mm256_setzero_ps(), _mm256_setzero_ps(),
-                    _mm256_setzero_ps(), _mm256_setzero_ps()};
-  __m256 acc1[4] = {_mm256_setzero_ps(), _mm256_setzero_ps(),
-                    _mm256_setzero_ps(), _mm256_setzero_ps()};
   size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     const __m256 b0 = _mm256_loadu_ps(b + i);
     const __m256 b1 = _mm256_loadu_ps(b + i + 8);
-    for (size_t j = 0; j < 4; ++j) {
+    for (size_t j = 0; j < J; ++j) {
       acc0[j] = _mm256_fmadd_ps(_mm256_loadu_ps(a[j] + i), b0, acc0[j]);
       acc1[j] = _mm256_fmadd_ps(_mm256_loadu_ps(a[j] + i + 8), b1, acc1[j]);
     }
   }
   for (; i + 8 <= n; i += 8) {
     const __m256 b0 = _mm256_loadu_ps(b + i);
-    for (size_t j = 0; j < 4; ++j) {
+    for (size_t j = 0; j < J; ++j) {
       acc0[j] = _mm256_fmadd_ps(_mm256_loadu_ps(a[j] + i), b0, acc0[j]);
     }
   }
-  for (size_t j = 0; j < 4; ++j) {
+  for (size_t j = 0; j < J; ++j) {
     float s = Hsum256(_mm256_add_ps(acc0[j], acc1[j]));
     for (size_t t = i; t < n; ++t) s += a[j][t] * b[t];
     out[j] = s;
   }
 }
 
-MARS_AVX2_FN inline void SquaredDistanceRowAvx2X4(const float* const* a,
-                                                  const float* b, size_t n,
-                                                  float* out) {
-  __m256 acc0[4] = {_mm256_setzero_ps(), _mm256_setzero_ps(),
-                    _mm256_setzero_ps(), _mm256_setzero_ps()};
-  __m256 acc1[4] = {_mm256_setzero_ps(), _mm256_setzero_ps(),
-                    _mm256_setzero_ps(), _mm256_setzero_ps()};
+template <size_t J>
+MARS_AVX2_INLINE void SquaredDistanceRowsAvx2(const float* const* a,
+                                             const float* b, size_t n,
+                                             float* out) {
+  __m256 acc0[J], acc1[J];
+  for (size_t j = 0; j < J; ++j) {
+    acc0[j] = _mm256_setzero_ps();
+    acc1[j] = _mm256_setzero_ps();
+  }
   size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     const __m256 b0 = _mm256_loadu_ps(b + i);
     const __m256 b1 = _mm256_loadu_ps(b + i + 8);
-    for (size_t j = 0; j < 4; ++j) {
+    for (size_t j = 0; j < J; ++j) {
       const __m256 d0 = _mm256_sub_ps(_mm256_loadu_ps(a[j] + i), b0);
       const __m256 d1 = _mm256_sub_ps(_mm256_loadu_ps(a[j] + i + 8), b1);
       acc0[j] = _mm256_fmadd_ps(d0, d0, acc0[j]);
@@ -190,12 +153,12 @@ MARS_AVX2_FN inline void SquaredDistanceRowAvx2X4(const float* const* a,
   }
   for (; i + 8 <= n; i += 8) {
     const __m256 b0 = _mm256_loadu_ps(b + i);
-    for (size_t j = 0; j < 4; ++j) {
+    for (size_t j = 0; j < J; ++j) {
       const __m256 d0 = _mm256_sub_ps(_mm256_loadu_ps(a[j] + i), b0);
       acc0[j] = _mm256_fmadd_ps(d0, d0, acc0[j]);
     }
   }
-  for (size_t j = 0; j < 4; ++j) {
+  for (size_t j = 0; j < J; ++j) {
     float s = Hsum256(_mm256_add_ps(acc0[j], acc1[j]));
     for (size_t t = i; t < n; ++t) {
       const float dlt = a[j][t] - b[t];
@@ -203,6 +166,19 @@ MARS_AVX2_FN inline void SquaredDistanceRowAvx2X4(const float* const* a,
     }
     out[j] = s;
   }
+}
+
+MARS_AVX2_INLINE float DotRowAvx2(const float* a, const float* b, size_t n) {
+  float s;
+  DotRowsAvx2<1>(&a, b, n, &s);
+  return s;
+}
+
+MARS_AVX2_INLINE float SquaredDistanceRowAvx2(const float* a, const float* b,
+                                              size_t n) {
+  float s;
+  SquaredDistanceRowsAvx2<1>(&a, b, n, &s);
+  return s;
 }
 
 #else  // !MARS_KERNELS_HAVE_AVX2

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +32,30 @@ std::vector<float> RandomBlock(Rng* rng, size_t count, size_t stride,
   return block;
 }
 
+/// The block kernels at B = 1: one user's scores over `count` rows.
+void DotBlock(const float* u, const float* rows, size_t count, size_t stride,
+              size_t n, float* out) {
+  DotBatchMulti(&u, 1, rows, count, stride, n, &out);
+}
+void NegatedSquaredDistanceBlock(const float* u, const float* rows,
+                                 size_t count, size_t stride, size_t n,
+                                 float* out) {
+  NegatedSquaredDistanceBatchMulti(&u, 1, rows, count, stride, n, &out);
+}
+
+/// A FacetStore of `entities` entity blocks with normal random facet rows.
+FacetStore RandomFacetStore(Rng* rng, size_t entities, size_t kf, size_t d) {
+  FacetStore store(entities, kf, d);
+  for (size_t e = 0; e < entities; ++e) {
+    for (size_t k = 0; k < kf; ++k) {
+      for (size_t i = 0; i < d; ++i) {
+        store.Row(e, k)[i] = static_cast<float>(rng->Normal());
+      }
+    }
+  }
+  return store;
+}
+
 class BatchKernelShapes
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
 
@@ -41,7 +66,7 @@ TEST_P(BatchKernelShapes, DotBatchMatchesPerRow) {
   const auto u = RandomVec(&rng, n);
   const auto block = RandomBlock(&rng, count, stride, n);
   std::vector<float> got(count, -1.0f);
-  DotBatch(u.data(), block.data(), count, stride, n, got.data());
+  DotBlock(u.data(), block.data(), count, stride, n, got.data());
   for (size_t r = 0; r < count; ++r) {
     EXPECT_NEAR(got[r], Dot(u.data(), block.data() + r * stride, n), 1e-5f)
         << "n=" << n << " r=" << r;
@@ -58,7 +83,7 @@ TEST_P(BatchKernelShapes, SquaredDistanceBatchMatchesPerRow) {
   const auto u = RandomVec(&rng, n);
   const auto block = RandomBlock(&rng, count, stride, n);
   std::vector<float> got(count);
-  NegatedSquaredDistanceBatch(u.data(), block.data(), count, stride, n,
+  NegatedSquaredDistanceBlock(u.data(), block.data(), count, stride, n,
                               got.data());
   for (size_t r = 0; r < count; ++r) {
     EXPECT_NEAR(-got[r],
@@ -158,7 +183,7 @@ TEST(KernelsTest, NegatedSquaredDistanceBatchMatchesPerRow) {
   const auto u = RandomVec(&rng, n);
   const auto block = RandomBlock(&rng, count, stride, n);
   std::vector<float> got(count);
-  NegatedSquaredDistanceBatch(u.data(), block.data(), count, stride, n,
+  NegatedSquaredDistanceBlock(u.data(), block.data(), count, stride, n,
                               got.data());
   for (size_t r = 0; r < count; ++r) {
     EXPECT_NEAR(got[r],
@@ -171,29 +196,18 @@ TEST(KernelsTest, WeightedFacetDotBatchSweepsContiguousBlocks) {
   // The MARS serving shape: one user entity block against a consecutive
   // run of item entity blocks straight out of a FacetStore.
   const size_t kf = 4, d = 17;
-  FacetStore users(2, kf, d), items(9, kf, d);
   Rng rng(12);
-  for (size_t e = 0; e < users.num_entities(); ++e) {
-    for (size_t k = 0; k < kf; ++k) {
-      for (size_t i = 0; i < d; ++i) {
-        users.Row(e, k)[i] = static_cast<float>(rng.Normal());
-      }
-    }
-  }
-  for (size_t e = 0; e < items.num_entities(); ++e) {
-    for (size_t k = 0; k < kf; ++k) {
-      for (size_t i = 0; i < d; ++i) {
-        items.Row(e, k)[i] = static_cast<float>(rng.Normal());
-      }
-    }
-  }
+  const FacetStore users = RandomFacetStore(&rng, 2, kf, d);
+  const FacetStore items = RandomFacetStore(&rng, 9, kf, d);
   const std::vector<float> w = {0.1f, 0.4f, 0.2f, 0.3f};
   const size_t begin = 2, count = 6;
   std::vector<float> got(count, -1.0f);
-  WeightedFacetDotBatch(users.EntityBlock(1), users.row_stride(),
-                        items.EntityBlock(begin), items.entity_stride(),
-                        items.row_stride(), w.data(), kf, count, d,
-                        got.data());
+  const float* u = users.EntityBlock(1);
+  const float* wp = w.data();
+  float* out = got.data();
+  WeightedFacetDotBatchMulti(&u, users.row_stride(), &wp, 1,
+                             items.EntityBlock(begin), items.entity_stride(),
+                             items.row_stride(), kf, count, d, &out);
   for (size_t r = 0; r < count; ++r) {
     const float expect =
         WeightedFacetDot(users.EntityBlock(1), users.row_stride(),
@@ -205,26 +219,18 @@ TEST(KernelsTest, WeightedFacetDotBatchSweepsContiguousBlocks) {
 
 TEST(KernelsTest, WeightedFacetSquaredDistanceBatchSweepsContiguousBlocks) {
   const size_t kf = 3, d = 12;
-  FacetStore users(1, kf, d), items(7, kf, d);
   Rng rng(13);
-  for (size_t k = 0; k < kf; ++k) {
-    for (size_t i = 0; i < d; ++i) {
-      users.Row(0, k)[i] = static_cast<float>(rng.Normal());
-    }
-  }
-  for (size_t e = 0; e < items.num_entities(); ++e) {
-    for (size_t k = 0; k < kf; ++k) {
-      for (size_t i = 0; i < d; ++i) {
-        items.Row(e, k)[i] = static_cast<float>(rng.Normal());
-      }
-    }
-  }
+  const FacetStore users = RandomFacetStore(&rng, 1, kf, d);
+  const FacetStore items = RandomFacetStore(&rng, 7, kf, d);
   const std::vector<float> w = {0.5f, 0.25f, 0.25f};
   std::vector<float> got(items.num_entities());
-  WeightedFacetSquaredDistanceBatch(
-      users.EntityBlock(0), users.row_stride(), items.EntityBlock(0),
-      items.entity_stride(), items.row_stride(), w.data(), kf,
-      items.num_entities(), d, got.data());
+  const float* u = users.EntityBlock(0);
+  const float* wp = w.data();
+  float* out = got.data();
+  WeightedFacetSquaredDistanceBatchMulti(
+      &u, users.row_stride(), &wp, 1, items.EntityBlock(0),
+      items.entity_stride(), items.row_stride(), kf, items.num_entities(), d,
+      &out);
   for (size_t v = 0; v < items.num_entities(); ++v) {
     const float expect = WeightedFacetSquaredDistance(
         users.EntityBlock(0), users.row_stride(), items.EntityBlock(v),
@@ -291,162 +297,175 @@ TEST_P(BatchKernelShapes, NearestCentroidDotBatchMatchesArgmax) {
   }
 }
 
-// --- Multi-user forms: the contract is *bit*-identity per user against
-// the single-user kernel (EXPECT_EQ, no tolerance) — TopKBatch's
-// batch≡solo guarantee bottoms out here. B values cover the
-// quad remainders (1..5, 8); n values cover the 16-, 8-, and scalar-tail
-// code paths.
+// --- Multi-user forms: the contract is *bit*-identity (EXPECT_EQ, no
+// tolerance) per user against the per-row primitive the family shares
+// with its gather form (DotGather, NegatedSquaredDistanceGather,
+// WeightedFacetDot, WeightedFacetSquaredDistance), and so against the same
+// kernel called for that user alone — TopKBatch's batch≡solo guarantee
+// bottoms out here. B values cover every remainder after whole user quads
+// (1..5, 7, 8); n values cover the 16-, 8-, and scalar-tail code paths.
 
 class MultiUserKernels
-    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {
+ protected:
+  /// B user rows against `count` candidate rows, both `stride` apart.
+  struct RowCase {
+    RowCase(size_t n, size_t num_users, size_t count, size_t stride,
+            uint64_t seed)
+        : n(n), count(count), stride(stride) {
+      Rng rng(seed);
+      users = RandomBlock(&rng, num_users, stride, n);
+      rows = RandomBlock(&rng, count, stride, n);
+      for (size_t b = 0; b < num_users; ++b) {
+        us.push_back(users.data() + b * stride);
+      }
+      for (size_t r = 0; r < count; ++r) {
+        ids.push_back(static_cast<uint32_t>(r));
+      }
+    }
+    /// `kernel` over users [first, first + num): one score row per user.
+    template <typename Kernel>
+    std::vector<std::vector<float>> Run(Kernel kernel, size_t first,
+                                       size_t num) const {
+      std::vector<std::vector<float>> out(num,
+                                          std::vector<float>(count, -1.0f));
+      std::vector<float*> outs;
+      for (auto& o : out) outs.push_back(o.data());
+      kernel(us.data() + first, num, rows.data(), count, stride, n,
+             outs.data());
+      return out;
+    }
+    /// The gather form over every row, for user b.
+    template <typename Gather>
+    std::vector<float> Gathered(Gather gather, size_t b) const {
+      std::vector<float> out(count);
+      gather(us[b], rows.data(), stride, ids.data(), count, n, out.data());
+      return out;
+    }
+    size_t n, count, stride;
+    std::vector<float> users, rows;
+    std::vector<const float*> us;
+    std::vector<uint32_t> ids;
+  };
+
+  /// B user entity blocks, each with its own facet weights, against
+  /// `count` item entity blocks.
+  struct FacetCase {
+    FacetCase(size_t n, size_t num_users, size_t kf, size_t count,
+              uint64_t seed)
+        : n(n), kf(kf), count(count) {
+      Rng rng(seed);
+      users = RandomFacetStore(&rng, num_users, kf, n);
+      items = RandomFacetStore(&rng, count, kf, n);
+      wbuf.resize(num_users * kf);  // per-user weights, all distinct
+      for (auto& x : wbuf) x = 0.1f + static_cast<float>(rng.Uniform());
+      for (size_t b = 0; b < num_users; ++b) {
+        us.push_back(users.EntityBlock(b));
+        ws.push_back(wbuf.data() + b * kf);
+      }
+    }
+    template <typename Kernel>
+    std::vector<std::vector<float>> Run(Kernel kernel, size_t first,
+                                       size_t num) const {
+      std::vector<std::vector<float>> out(num,
+                                          std::vector<float>(count, -1.0f));
+      std::vector<float*> outs;
+      for (auto& o : out) outs.push_back(o.data());
+      kernel(us.data() + first, users.row_stride(), ws.data() + first, num,
+             items.EntityBlock(0), items.entity_stride(), items.row_stride(),
+             kf, count, n, outs.data());
+      return out;
+    }
+    /// The per-row facet score against every block, for user b.
+    template <typename RowScore>
+    std::vector<float> PerRow(RowScore score, size_t b) const {
+      std::vector<float> out(count);
+      for (size_t r = 0; r < count; ++r) {
+        out[r] = score(us[b], users.row_stride(), items.EntityBlock(r),
+                       items.row_stride(), ws[b], kf, n);
+      }
+      return out;
+    }
+    size_t n, kf, count;
+    FacetStore users, items;
+    std::vector<float> wbuf;
+    std::vector<const float*> us, ws;
+  };
+};
 
 TEST_P(MultiUserKernels, DotBatchMultiBitMatchesSolo) {
   const auto [n, num_users] = GetParam();
-  const size_t count = 23, stride = n + 3;
-  Rng rng(31);
-  const auto ublock = RandomBlock(&rng, num_users, stride, n);
-  const auto block = RandomBlock(&rng, count, stride, n);
-  std::vector<const float*> us(num_users);
-  std::vector<float> multi(num_users * count, -1.0f);
-  std::vector<float*> outs(num_users);
+  const RowCase c(n, num_users, 23, n + 3, 31);
+  const auto multi = c.Run(DotBatchMulti, 0, num_users);
   for (size_t b = 0; b < num_users; ++b) {
-    us[b] = ublock.data() + b * stride;
-    outs[b] = multi.data() + b * count;
-  }
-  DotBatchMulti(us.data(), num_users, block.data(), count, stride, n,
-                outs.data());
-  std::vector<float> solo(count);
-  for (size_t b = 0; b < num_users; ++b) {
-    DotBatch(us[b], block.data(), count, stride, n, solo.data());
-    for (size_t r = 0; r < count; ++r) {
-      EXPECT_EQ(outs[b][r], solo[r]) << "n=" << n << " B=" << num_users
-                                     << " user " << b << " row " << r;
-    }
+    EXPECT_EQ(multi[b], c.Gathered(DotGather, b))
+        << "n=" << n << " B=" << num_users << " user " << b;
+    EXPECT_EQ(multi[b], c.Run(DotBatchMulti, b, 1)[0]) << "user " << b;
   }
 }
 
 TEST_P(MultiUserKernels, NegatedSquaredDistanceBatchMultiBitMatchesSolo) {
   const auto [n, num_users] = GetParam();
-  const size_t count = 17, stride = n + 1;
-  Rng rng(32);
-  const auto ublock = RandomBlock(&rng, num_users, stride, n);
-  const auto block = RandomBlock(&rng, count, stride, n);
-  std::vector<const float*> us(num_users);
-  std::vector<float> multi(num_users * count);
-  std::vector<float*> outs(num_users);
+  const RowCase c(n, num_users, 17, n + 1, 32);
+  const auto multi = c.Run(NegatedSquaredDistanceBatchMulti, 0, num_users);
   for (size_t b = 0; b < num_users; ++b) {
-    us[b] = ublock.data() + b * stride;
-    outs[b] = multi.data() + b * count;
-  }
-  NegatedSquaredDistanceBatchMulti(us.data(), num_users, block.data(), count,
-                                   stride, n, outs.data());
-  std::vector<float> solo(count);
-  for (size_t b = 0; b < num_users; ++b) {
-    NegatedSquaredDistanceBatch(us[b], block.data(), count, stride, n,
-                                solo.data());
-    for (size_t r = 0; r < count; ++r) {
-      EXPECT_EQ(outs[b][r], solo[r]) << "n=" << n << " B=" << num_users
-                                     << " user " << b << " row " << r;
-    }
+    EXPECT_EQ(multi[b], c.Gathered(NegatedSquaredDistanceGather, b))
+        << "n=" << n << " B=" << num_users << " user " << b;
+    EXPECT_EQ(multi[b], c.Run(NegatedSquaredDistanceBatchMulti, b, 1)[0])
+        << "user " << b;
   }
 }
 
 TEST_P(MultiUserKernels, WeightedFacetDotBatchMultiBitMatchesSolo) {
   const auto [n, num_users] = GetParam();
-  const size_t kf = 3, count = 9;
-  FacetStore users(num_users, kf, n), items(count, kf, n);
-  Rng rng(33);
-  for (size_t e = 0; e < num_users; ++e) {
-    for (size_t k = 0; k < kf; ++k) {
-      for (size_t i = 0; i < n; ++i) {
-        users.Row(e, k)[i] = static_cast<float>(rng.Normal());
-      }
-    }
-  }
-  for (size_t e = 0; e < count; ++e) {
-    for (size_t k = 0; k < kf; ++k) {
-      for (size_t i = 0; i < n; ++i) {
-        items.Row(e, k)[i] = static_cast<float>(rng.Normal());
-      }
-    }
-  }
-  // Per-user weight vectors, all distinct.
-  std::vector<float> wbuf(num_users * kf);
-  for (auto& x : wbuf) x = 0.1f + static_cast<float>(rng.Uniform());
-  std::vector<const float*> us(num_users), ws(num_users);
-  std::vector<float> multi(num_users * count);
-  std::vector<float*> outs(num_users);
+  const FacetCase c(n, num_users, 3, 9, 33);
+  const auto multi = c.Run(WeightedFacetDotBatchMulti, 0, num_users);
   for (size_t b = 0; b < num_users; ++b) {
-    us[b] = users.EntityBlock(b);
-    ws[b] = wbuf.data() + b * kf;
-    outs[b] = multi.data() + b * count;
-  }
-  WeightedFacetDotBatchMulti(us.data(), users.row_stride(), ws.data(),
-                             num_users, items.EntityBlock(0),
-                             items.entity_stride(), items.row_stride(), kf,
-                             count, n, outs.data());
-  std::vector<float> solo(count);
-  for (size_t b = 0; b < num_users; ++b) {
-    WeightedFacetDotBatch(us[b], users.row_stride(), items.EntityBlock(0),
-                          items.entity_stride(), items.row_stride(), ws[b],
-                          kf, count, n, solo.data());
-    for (size_t r = 0; r < count; ++r) {
-      EXPECT_EQ(outs[b][r], solo[r]) << "n=" << n << " B=" << num_users
-                                     << " user " << b << " row " << r;
-    }
+    EXPECT_EQ(multi[b], c.PerRow(WeightedFacetDot, b))
+        << "n=" << n << " B=" << num_users << " user " << b;
+    EXPECT_EQ(multi[b], c.Run(WeightedFacetDotBatchMulti, b, 1)[0])
+        << "user " << b;
   }
 }
 
 TEST_P(MultiUserKernels, WeightedFacetSquaredDistanceBatchMultiBitMatchesSolo) {
   const auto [n, num_users] = GetParam();
-  const size_t kf = 4, count = 7;
-  FacetStore users(num_users, kf, n), items(count, kf, n);
-  Rng rng(34);
-  for (size_t e = 0; e < num_users; ++e) {
-    for (size_t k = 0; k < kf; ++k) {
-      for (size_t i = 0; i < n; ++i) {
-        users.Row(e, k)[i] = static_cast<float>(rng.Normal());
-      }
-    }
-  }
-  for (size_t e = 0; e < count; ++e) {
-    for (size_t k = 0; k < kf; ++k) {
-      for (size_t i = 0; i < n; ++i) {
-        items.Row(e, k)[i] = static_cast<float>(rng.Normal());
-      }
-    }
-  }
-  std::vector<float> wbuf(num_users * kf);
-  for (auto& x : wbuf) x = 0.1f + static_cast<float>(rng.Uniform());
-  std::vector<const float*> us(num_users), ws(num_users);
-  std::vector<float> multi(num_users * count);
-  std::vector<float*> outs(num_users);
+  const FacetCase c(n, num_users, 4, 7, 34);
+  const auto multi =
+      c.Run(WeightedFacetSquaredDistanceBatchMulti, 0, num_users);
   for (size_t b = 0; b < num_users; ++b) {
-    us[b] = users.EntityBlock(b);
-    ws[b] = wbuf.data() + b * kf;
-    outs[b] = multi.data() + b * count;
-  }
-  WeightedFacetSquaredDistanceBatchMulti(
-      us.data(), users.row_stride(), ws.data(), num_users,
-      items.EntityBlock(0), items.entity_stride(), items.row_stride(), kf,
-      count, n, outs.data());
-  std::vector<float> solo(count);
-  for (size_t b = 0; b < num_users; ++b) {
-    WeightedFacetSquaredDistanceBatch(
-        us[b], users.row_stride(), items.EntityBlock(0),
-        items.entity_stride(), items.row_stride(), ws[b], kf, count, n,
-        solo.data());
-    for (size_t r = 0; r < count; ++r) {
-      EXPECT_EQ(outs[b][r], solo[r]) << "n=" << n << " B=" << num_users
-                                     << " user " << b << " row " << r;
-    }
+    EXPECT_EQ(multi[b], c.PerRow(WeightedFacetSquaredDistance, b))
+        << "n=" << n << " B=" << num_users << " user " << b;
+    EXPECT_EQ(multi[b],
+              c.Run(WeightedFacetSquaredDistanceBatchMulti, b, 1)[0])
+        << "user " << b;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, MultiUserKernels,
     ::testing::Combine(::testing::Values<size_t>(5, 8, 16, 19, 32, 37),
-                       ::testing::Values<size_t>(1, 2, 3, 4, 5, 8)));
+                       ::testing::Values<size_t>(1, 2, 3, 4, 5, 7, 8)));
+
+TEST(KernelsTest, BlockKernelsWithNoUsersOrRowsWriteNothing) {
+  // num_users == 0 and count == 0 are no-ops: no score is written and no
+  // row or weight pointer is read (every input pointer here is null).
+  std::vector<float> a(4, -7.0f), b(4, -7.0f);
+  float* outs[2] = {a.data(), b.data()};
+  const float* none[2] = {nullptr, nullptr};
+  for (const auto [num_users, count] :
+       {std::pair<size_t, size_t>{0, 4}, {2, 0}}) {
+    DotBatchMulti(none, num_users, nullptr, count, 8, 8, outs);
+    NegatedSquaredDistanceBatchMulti(none, num_users, nullptr, count, 8, 8,
+                                     outs);
+    WeightedFacetDotBatchMulti(none, 8, none, num_users, nullptr, 32, 8, 4,
+                               count, 8, outs);
+    WeightedFacetSquaredDistanceBatchMulti(none, 8, none, num_users, nullptr,
+                                           32, 8, 4, count, 8, outs);
+  }
+  EXPECT_EQ(a, std::vector<float>(4, -7.0f));
+  EXPECT_EQ(b, std::vector<float>(4, -7.0f));
+}
 
 TEST(KernelsTest, NearestCentroidDotBatchBreaksTiesToLowestIndex) {
   // Duplicate centroids dot identically against every row; the pinned
